@@ -42,8 +42,6 @@ module E = Ace_harness.Experiments
 module T4 = Ace_harness.Table4
 module Pool = Ace_harness.Pool
 module Faults = Ace_net.Faults
-module Driver = Ace_harness.Driver
-module Machine = Ace_engine.Machine
 
 let scale = ref { E.nprocs = 32; factor = 1 }
 let scaling_max = ref 1024
@@ -58,26 +56,6 @@ let jitter = ref 0.
 let fault_seed = ref Faults.default_seed
 let fault_given = ref false
 let batch = ref false
-
-(* Simulation engine for the selected experiments (default sequential;
-   ACE_ENGINE or --engine overrides). [None] keeps every driver call on
-   its historical default path. *)
-let engine : Machine.engine option ref =
-  ref
-    (match Sys.getenv_opt "ACE_ENGINE" with
-    | None -> None
-    | Some s -> (
-        match Driver.engine_of_string s with
-        | Ok e -> Some e
-        | Error m ->
-            Printf.eprintf "ACE_ENGINE: %s\n" m;
-            exit 2))
-
-let engine_shards () =
-  match !engine with Some (Machine.Par_engine n) -> n | _ -> 1
-
-let engine_name () =
-  match !engine with None -> "seq" | Some e -> Driver.engine_to_string e
 
 (* Opt-in bulk-transfer batching for the selected experiments; None keeps
    the default grid bit-identical to older builds. *)
@@ -166,8 +144,6 @@ let write_json path ~total_wall =
     \  \"git_commit\": \"%s\",\n\
     \  \"nprocs\": %d,\n\
     \  \"jobs\": %d,\n\
-    \  \"engine\": \"%s\",\n\
-    \  \"shards\": %d,\n\
     \  \"batch\": %b,\n\
     \  \"faults\": %s,\n\
     \  \"total_wall_s\": %.6f,\n\
@@ -175,8 +151,6 @@ let write_json path ~total_wall =
     (json_escape (git_commit ()))
     !scale.E.nprocs
     (match !jobs with Some j -> j | None -> Pool.default_jobs ())
-    (json_escape (engine_name ()))
-    (engine_shards ())
     !batch fault_cfg total_wall
     (String.concat ",\n" (List.rev !json_rows));
   close_out oc;
@@ -191,7 +165,7 @@ let fig7a () =
   line ();
   let rows =
     E.fig7a ~scale:!scale ?jobs:!jobs ?trace_dir:!trace_dir
-      ?faults:(fault_spec ()) ?batch:(batch_opt ()) ?engine:!engine ()
+      ?faults:(fault_spec ()) ?batch:(batch_opt ()) ()
   in
   E.print_rows ~left:"CRL" ~right:"Ace" rows;
   List.iter
@@ -210,7 +184,7 @@ let fig7b () =
   line ();
   let rows =
     E.fig7b ~scale:!scale ?jobs:!jobs ?trace_dir:!trace_dir
-      ?faults:(fault_spec ()) ?batch:(batch_opt ()) ?engine:!engine ()
+      ?faults:(fault_spec ()) ?batch:(batch_opt ()) ()
   in
   E.print_rows ~left:"SC" ~right:"custom" rows;
   List.iter
@@ -257,7 +231,7 @@ let scaling_exp () =
   let nprocs_list =
     List.filter (fun n -> n <= !scaling_max) E.default_scaling_nprocs
   in
-  let rows = E.scaling ?jobs:!jobs ~nprocs_list ?engine:!engine () in
+  let rows = E.scaling ?jobs:!jobs ~nprocs_list () in
   E.print_scaling_rows rows;
   List.iter
     (fun r ->
@@ -757,7 +731,7 @@ let combinator_exp () =
   line ();
   let rows =
     E.combinator ~scale:!scale ?jobs:!jobs ?faults:(fault_spec ())
-      ?batch:(batch_opt ()) ?engine:!engine ()
+      ?batch:(batch_opt ()) ()
   in
   E.print_rows ~left:"hand" ~right:"DSL" rows;
   let bad = ref [] in
@@ -819,54 +793,6 @@ let combinator_exp () =
         "ERROR: combinator-built protocol diverged from hand-written on: %s\n"
         (String.concat ", " (List.rev names));
       exit 1
-
-(* ---- parallel engine speedup (engine_speedup selection) ----
-
-   Sequential vs sharded engine wall-clock on weak-scaled EM3D and
-   Barnes-Hut. Cells run serially (never through the pool): each parallel
-   cell wants the host cores for its own shard domains, and the wall-clock
-   ratio is the measurement. Any output mismatch between the engines is a
-   hard error. *)
-
-let engine_speedup_exp () =
-  line ();
-  let shards =
-    match !engine with Some (Machine.Par_engine n) -> n | _ -> 4
-  in
-  Printf.printf
-    "Parallel engine speedup: seq vs par:%d wall clock (weak-scaled)\n" shards;
-  line ();
-  let nprocs_list =
-    List.filter (fun n -> n <= !scaling_max) E.default_engine_nprocs
-  in
-  let rows = E.engine_speedup ~shards ~nprocs_list () in
-  E.print_engine_rows rows;
-  List.iter
-    (fun r ->
-      record ~experiment:"engine_speedup"
-        ~name:(Printf.sprintf "%s@%d" r.E.en_bench r.E.en_nprocs)
-        ~wall:(r.E.en_seq_wall +. r.E.en_par_wall)
-        ~messages:[ ("total", r.E.en_messages) ]
-        [
-          ("seconds", r.E.en_seconds);
-          ("seq_wall", r.E.en_seq_wall);
-          ("par_wall", r.E.en_par_wall);
-          ("speedup", E.engine_wall_speedup r);
-          ("shards", float_of_int r.E.en_shards);
-          ("identical", if r.E.en_identical then 1. else 0.);
-          ("nprocs", float_of_int r.E.en_nprocs);
-        ])
-    rows;
-  List.iter
-    (fun r ->
-      if not r.E.en_identical then begin
-        Printf.eprintf
-          "ERROR: parallel engine diverged from sequential on %s@%d\n"
-          r.E.en_bench r.E.en_nprocs;
-        exit 1
-      end)
-    rows;
-  print_newline ()
 
 (* ---- bechamel microbenchmarks (wall-clock cost of the simulator) ---- *)
 
@@ -938,9 +864,8 @@ let usage () =
   Printf.eprintf
     "usage: main [fig7a] [fig7b] [table4] [ablation] [batching] [micro] \
      [trace_overhead] [faultsweep] [check_overhead] [scaling] [critpath] \
-     [critpath_overhead] [serving] [engine_speedup] [combinator] [--small] \
-     [--nprocs N] [--scaling-max N] [--jobs N] [--engine seq|par:N] \
-     [--json FILE] \
+     [critpath_overhead] [serving] [combinator] [--small] \
+     [--nprocs N] [--scaling-max N] [--jobs N] [--json FILE] \
      [--trace FILE] [--trace-dir DIR] [--critpath FILE] [--batch] \
      [--drop P] [--dup P] [--jitter C] [--fault-seed N]\n";
   exit 2
@@ -971,14 +896,6 @@ let () =
             parse rest
         | Some _ | None ->
             Printf.eprintf "--scaling-max expects an integer >= 2, got %s\n" n;
-            exit 2)
-    | "--engine" :: v :: rest -> (
-        match Driver.engine_of_string v with
-        | Ok e ->
-            engine := Some e;
-            parse rest
-        | Error m ->
-            Printf.eprintf "--engine: %s\n" m;
             exit 2)
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
@@ -1026,14 +943,13 @@ let () =
             exit 2)
     | [ (("--jobs" | "--json" | "--trace" | "--trace-dir" | "--critpath"
         | "--drop" | "--dup" | "--jitter" | "--fault-seed" | "--nprocs"
-        | "--scaling-max" | "--engine") as flag) ]
+        | "--scaling-max") as flag) ]
       ->
         Printf.eprintf "missing argument to %s\n" flag;
         usage ()
     | (("fig7a" | "fig7b" | "table4" | "ablation" | "batching" | "micro"
        | "trace_overhead" | "faultsweep" | "check_overhead" | "scaling"
-       | "critpath" | "critpath_overhead" | "serving" | "engine_speedup"
-       | "combinator")
+       | "critpath" | "critpath_overhead" | "serving" | "combinator")
        as s)
       :: rest ->
         s :: parse rest
@@ -1042,13 +958,6 @@ let () =
         usage ()
   in
   let selections = parse args in
-  (* One core budget for both levels of parallelism: with a sharded engine
-     and no explicit --jobs, shrink the pool so jobs x shards stays within
-     the recommended domain count. *)
-  (match (!jobs, !engine) with
-  | None, Some (Machine.Par_engine n) ->
-      jobs := Some (max 1 (Pool.default_jobs () / n))
-  | _ -> ());
   (* fail fast on out-of-range fault probabilities rather than mid-grid *)
   (try ignore (fault_spec ())
    with Invalid_argument m ->
@@ -1088,7 +997,6 @@ let () =
   if List.mem "faultsweep" selections then faultsweep ();
   if List.mem "check_overhead" selections then check_overhead ();
   if List.mem "scaling" selections then scaling_exp ();
-  if List.mem "engine_speedup" selections then engine_speedup_exp ();
   if List.mem "combinator" selections then combinator_exp ();
   if List.mem "serving" selections then serving_exp ();
   if List.mem "micro" selections then micro ();

@@ -7,12 +7,8 @@ module Cost_model = Ace_net.Cost_model
 
 let sid_spaces = Ace_engine.Stats.intern "ace.spaces"
 
-let create ?(cost = Cost_model.cm5_ace) ?policy ?engine ~nprocs () =
-  let machine = Machine.create ?policy ?engine ~nprocs () in
-  (* The parallel engine's conservative window: no cross-processor
-     interaction lands sooner than wire transit plus receive overhead. *)
-  Machine.set_lookahead machine
-    (Cost_model.transit cost ~bytes:0 +. cost.Cost_model.am_recv_overhead);
+let create ?(cost = Cost_model.cm5_ace) ?policy ~nprocs () =
+  let machine = Machine.create ?policy ~nprocs () in
   let am = Ace_net.Am.create machine cost in
   let store =
     Ace_region.Store.create ~stats:(Machine.stats machine) ~nprocs ()

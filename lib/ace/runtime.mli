@@ -5,15 +5,11 @@
     defaults to the Ace profile ({!Ace_net.Cost_model.cm5_ace}); pass the
     CRL profile (or a custom one) for ablations. [policy] fixes the event
     queue's same-timestamp tie-break (default FIFO — bit-identical to
-    historical builds); program results must not depend on it. [engine]
-    (default sequential) selects the simulation engine; [Par_engine n]
-    runs the event loop sharded over [n] domains with bit-identical
-    simulated output, and the machine's lookahead is set from [cost]'s
-    minimum cross-processor latency. SC and NULL are pre-registered. *)
+    historical builds); program results must not depend on it. SC and NULL
+    are pre-registered. *)
 val create :
   ?cost:Ace_net.Cost_model.t ->
   ?policy:Ace_engine.Event_queue.policy ->
-  ?engine:Ace_engine.Machine.engine ->
   nprocs:int -> unit -> Protocol.runtime
 
 val machine : Protocol.runtime -> Ace_engine.Machine.t

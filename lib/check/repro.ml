@@ -5,7 +5,6 @@
    the program body is Prog's textual form. *)
 
 module Event_queue = Ace_engine.Event_queue
-module Machine = Ace_engine.Machine
 module Faults = Ace_net.Faults
 
 type t = {
@@ -13,9 +12,6 @@ type t = {
   policy : Event_queue.policy;
   faults : Faults.spec option;
   batch : bool;
-  engine : Machine.engine;
-      (* [Par_engine n] marks an engine-differential counterexample:
-         replay re-runs seq-vs-par rather than cell-vs-reference *)
   reason : string;
   prog : Prog.t;
 }
@@ -27,11 +23,14 @@ let faults_to_string = function
         s.jitter s.seed
 
 let faults_of_string = function
-  | "none" -> None
-  | s ->
-      Scanf.sscanf s "drop=%g,dup=%g,jitter=%g,seed=%d"
-        (fun drop dup jitter seed ->
-          Some (Faults.spec ~drop ~dup ~jitter ~seed ()))
+  | "none" -> Some None
+  | s -> (
+      try
+        Scanf.sscanf s "drop=%g,dup=%g,jitter=%g,seed=%d%!"
+          (fun drop dup jitter seed ->
+            Some (Some (Faults.spec ~drop ~dup ~jitter ~seed ())))
+      with Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _
+      -> None)
 
 let to_string r =
   String.concat "\n"
@@ -41,11 +40,14 @@ let to_string r =
       "policy " ^ Event_queue.policy_to_string r.policy;
       "faults " ^ faults_to_string r.faults;
       "batch " ^ string_of_bool r.batch;
-      "engine " ^ Machine.engine_to_string r.engine;
       "reason " ^ String.map (fun c -> if c = '\n' then ';' else c) r.reason;
       Prog.to_string r.prog;
     ]
 
+(* Every malformed header value raises [Invalid_argument] naming the key
+   and the value. Files written before the simulator had a single engine
+   carry an "engine" line: "seq" is accepted and ignored, anything else
+   named the removed parallel engine and is rejected. *)
 let of_string s =
   let lines = String.split_on_char '\n' s in
   let header = Hashtbl.create 8 and body = Buffer.create 256 in
@@ -64,26 +66,42 @@ let of_string s =
             Buffer.add_char body '\n'
           end)
     lines;
-  let get k =
-    match Hashtbl.find_opt header k with
-    | Some v -> v
-    | None -> invalid_arg ("Repro.of_string: missing " ^ k)
+  let field key parse =
+    match Hashtbl.find_opt header key with
+    | None -> invalid_arg ("Repro.of_string: missing " ^ key)
+    | Some v -> (
+        match parse v with
+        | Some x -> x
+        | None ->
+            invalid_arg (Printf.sprintf "Repro.of_string: bad %s %S" key v))
+  in
+  (match Hashtbl.find_opt header "engine" with
+  | None | Some "seq" -> ()
+  | Some v ->
+      invalid_arg
+        (Printf.sprintf
+           "Repro.of_string: bad engine %S (the parallel engine was removed; \
+            only \"seq\" replays)"
+           v));
+  let proto = field "proto" (fun v -> if v = "" then None else Some v) in
+  let policy =
+    field "policy" (fun v ->
+        try Some (Event_queue.policy_of_string v) with Invalid_argument _ -> None)
+  in
+  let faults = field "faults" faults_of_string in
+  let batch = field "batch" bool_of_string_opt in
+  let prog =
+    try Prog.of_string (Buffer.contents body)
+    with Invalid_argument m | Failure m ->
+      invalid_arg ("Repro.of_string: bad program: " ^ m)
   in
   {
-    proto = get "proto";
-    policy = Event_queue.policy_of_string (get "policy");
-    faults = faults_of_string (get "faults");
-    batch = bool_of_string (get "batch");
-    engine =
-      (* absent in pre-engine .repro files: they are sequential *)
-      (match Hashtbl.find_opt header "engine" with
-      | None -> Machine.Seq_engine
-      | Some s -> (
-          match Machine.engine_of_string s with
-          | Ok e -> e
-          | Error m -> invalid_arg ("Repro.of_string: " ^ m)));
+    proto;
+    policy;
+    faults;
+    batch;
     reason = (match Hashtbl.find_opt header "reason" with Some r -> r | None -> "");
-    prog = Prog.of_string (Buffer.contents body);
+    prog;
   }
 
 let write path r =

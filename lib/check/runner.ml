@@ -30,8 +30,9 @@ let broken_protocol =
 
 (* One cell of the conformance grid. [proto] is a registered protocol
    name, or "CRL" for the fixed-protocol baseline backend. [engine] is
-   normally [Seq_engine]; the engine-differential mode pins [Par_engine n]
-   to fuzz the sharded run loop against the sequential one. *)
+   always [Seq_engine] (the simulator has one engine); the field stays
+   because the benchmark's fuzz workload, [perf/workloads.ml], builds
+   cells with it. *)
 type cell = {
   proto : string;
   policy : Event_queue.policy;
@@ -41,7 +42,7 @@ type cell = {
 }
 
 let cell_to_string c =
-  Printf.sprintf "%s / %s%s%s%s" c.proto
+  Printf.sprintf "%s / %s%s%s" c.proto
     (Event_queue.policy_to_string c.policy)
     (match c.faults with
     | None -> ""
@@ -49,9 +50,6 @@ let cell_to_string c =
         Printf.sprintf " / faults(drop=%g,dup=%g,jitter=%g,seed=%d)" s.drop
           s.dup s.jitter s.seed)
     (if c.batch then " / batch" else "")
-    (match c.engine with
-    | Machine.Seq_engine -> ""
-    | e -> " / " ^ Machine.engine_to_string e)
 
 type failure = { cell : cell; reason : string }
 
@@ -60,84 +58,60 @@ let attach_faults am = function
       Ace_net.Am.set_faults am (Some (Faults.make spec))
   | Some _ | None -> ()
 
-(* How many parallel cells conservatively fell back to a sequential rerun
-   (causality check or unsupported operation mid-run — e.g. a generated
-   Ace_ChangeProtocol after the shards split). Those cells pass trivially,
-   so the fuzzer reports the count to keep the coverage honest. *)
-let par_fallback_count = ref 0
-let par_fallbacks () = !par_fallback_count
-
 (* Run one program in one cell; returns node 0's final heap plus the
-   delivered active-message count and the final simulated time — the three
-   outputs the engine differential compares. [oracle], when given,
-   observes every access section on every node (it is not shard-safe, so
-   engine-differential cells never carry it). A parallel cell that trips
-   the engine's conservative checks is transparently re-run sequentially,
-   exactly like the production driver. *)
+   delivered active-message count and the final simulated time. [oracle],
+   when given, observes every access section on every node. *)
 let run_cell_full ?oracle (p : Prog.t) (c : cell) :
     float array array * float * float =
-  let attempt engine =
-    let heap = ref [||] in
-    let wrap facade =
-      match oracle with None -> facade | Some o -> Observe.wrap o facade
-    in
-    if c.proto = "CRL" then begin
-      let sys =
-        Ace_crl.Crl.create ~policy:c.policy ~engine ~nprocs:p.Prog.nprocs ()
-      in
-      attach_faults (Ace_crl.Crl.am sys) c.faults;
-      if c.batch then Ace_net.Am.set_batching (Ace_crl.Crl.am sys) true;
-      let facade =
-        wrap
-          (module Ace_crl.Crl.Api : Ace_region.Dsm_intf.S
-            with type ctx = Ace_crl.Crl.ctx
-             and type h = Ace_region.Store.meta)
-      in
-      Ace_crl.Crl.run sys (fun ctx ->
-          match Prog.interp facade ~flush_to:"SC" p ctx with
-          | Some h -> heap := h
-          | None -> ());
-      let m = Ace_crl.Crl.machine sys in
-      ( !heap,
-        Stats.get (Machine.stats m) "net.messages",
-        Ace_crl.Crl.time_seconds sys )
-    end
-    else begin
-      let rt =
-        Runtime.create ~policy:c.policy ~engine ~nprocs:p.Prog.nprocs ()
-      in
-      attach_faults (Runtime.am rt) c.faults;
-      if c.batch then Ace_net.Am.set_batching (Runtime.am rt) true;
-      Ace_protocols.Proto_lib.register_all rt;
-      Ace_combinator.Library.register_all rt;
-      if c.proto = broken_protocol.Protocol.name then
-        Runtime.register rt broken_protocol;
-      let dsl_broken = Ace_combinator.Library.broken.Ace_combinator.Library.proto in
-      if c.proto = dsl_broken.Protocol.name then Runtime.register rt dsl_broken;
-      ignore (Runtime.new_space rt c.proto);
-      let facade =
-        wrap
-          (module Ace_runtime.Ops.Api : Ace_region.Dsm_intf.S
-            with type ctx = Protocol.ctx
-             and type h = Ace_region.Store.meta)
-      in
-      Runtime.run rt (fun ctx ->
-          match Prog.interp facade ~flush_to:c.proto p ctx with
-          | Some h -> heap := h
-          | None -> ());
-      let m = Runtime.machine rt in
-      ( !heap,
-        Stats.get (Machine.stats m) "net.messages",
-        Runtime.time_seconds rt )
-    end
+  let heap = ref [||] in
+  let wrap facade =
+    match oracle with None -> facade | Some o -> Observe.wrap o facade
   in
-  try attempt c.engine
-  with e -> (
-    match Machine.par_fallback_reason e with
-    | Some _ when c.engine <> Machine.Seq_engine ->
-        incr par_fallback_count;
-        attempt Machine.Seq_engine
-    | _ -> raise e)
+  if c.proto = "CRL" then begin
+    let sys = Ace_crl.Crl.create ~policy:c.policy ~nprocs:p.Prog.nprocs () in
+    attach_faults (Ace_crl.Crl.am sys) c.faults;
+    if c.batch then Ace_net.Am.set_batching (Ace_crl.Crl.am sys) true;
+    let facade =
+      wrap
+        (module Ace_crl.Crl.Api : Ace_region.Dsm_intf.S
+          with type ctx = Ace_crl.Crl.ctx
+           and type h = Ace_region.Store.meta)
+    in
+    Ace_crl.Crl.run sys (fun ctx ->
+        match Prog.interp facade ~flush_to:"SC" p ctx with
+        | Some h -> heap := h
+        | None -> ());
+    let m = Ace_crl.Crl.machine sys in
+    ( !heap,
+      Stats.get (Machine.stats m) "net.messages",
+      Ace_crl.Crl.time_seconds sys )
+  end
+  else begin
+    let rt = Runtime.create ~policy:c.policy ~nprocs:p.Prog.nprocs () in
+    attach_faults (Runtime.am rt) c.faults;
+    if c.batch then Ace_net.Am.set_batching (Runtime.am rt) true;
+    Ace_protocols.Proto_lib.register_all rt;
+    Ace_combinator.Library.register_all rt;
+    if c.proto = broken_protocol.Protocol.name then
+      Runtime.register rt broken_protocol;
+    let dsl_broken = Ace_combinator.Library.broken.Ace_combinator.Library.proto in
+    if c.proto = dsl_broken.Protocol.name then Runtime.register rt dsl_broken;
+    ignore (Runtime.new_space rt c.proto);
+    let facade =
+      wrap
+        (module Ace_runtime.Ops.Api : Ace_region.Dsm_intf.S
+          with type ctx = Protocol.ctx
+           and type h = Ace_region.Store.meta)
+    in
+    Runtime.run rt (fun ctx ->
+        match Prog.interp facade ~flush_to:c.proto p ctx with
+        | Some h -> heap := h
+        | None -> ());
+    let m = Runtime.machine rt in
+    ( !heap,
+      Stats.get (Machine.stats m) "net.messages",
+      Runtime.time_seconds rt )
+  end
 
 let run_cell ?oracle p c =
   let heap, _, _ = run_cell_full ?oracle p c in
@@ -266,79 +240,6 @@ let shrink ~schedules ~fault_specs ~batch_modes p (fl : failure) =
   in
   go p fl
 
-(* The engine differential: same program, same cell, sequential vs
-   parallel run loop — final heap, delivered message count and final
-   simulated time must all match bit for bit. No oracle (the observer is
-   not shard-safe) and no faults (the production driver gates faulty runs
-   to the sequential engine anyway); batching is exercised in both modes. *)
-let check_cell_engine (p : Prog.t) (c : cell) : failure option =
-  let seq = { c with engine = Machine.Seq_engine } in
-  match run_cell_full p seq with
-  | exception e ->
-      Some { cell = seq; reason = "crashed: " ^ Printexc.to_string e }
-  | sh, sm, ss -> (
-      match run_cell_full p c with
-      | exception e ->
-          Some { cell = c; reason = "crashed: " ^ Printexc.to_string e }
-      | ph, pm, ps -> (
-          match heap_mismatch ~got:ph ~want:sh with
-          | Some m -> Some { cell = c; reason = "engine: " ^ m }
-          | None ->
-              if pm <> sm then
-                Some
-                  {
-                    cell = c;
-                    reason =
-                      Printf.sprintf
-                        "engine: message counts differ: par %g vs seq %g" pm
-                        sm;
-                  }
-              else if ps <> ss then
-                Some
-                  {
-                    cell = c;
-                    reason =
-                      Printf.sprintf
-                        "engine: simulated time differs: par %.17g vs seq \
-                         %.17g"
-                        ps ss;
-                  }
-              else None))
-
-(* Engine-differential sweep of one program: every admissible protocol
-   (batched and unbatched) under FIFO, sequential vs [engine]. *)
-let check_prog_engine ?(protocols = default_protocols) ~engine ~batch_modes
-    (p : Prog.t) : failure option =
-  Prog.validate p;
-  let f = Prog.features p in
-  let protos = List.filter (Prog.admits f) protocols in
-  List.find_map
-    (fun proto ->
-      List.find_map
-        (fun batch ->
-          check_cell_engine p
-            { proto; policy = Event_queue.Fifo; faults = None; batch; engine })
-        batch_modes)
-    protos
-
-(* Greedy shrink for an engine divergence, pinned to the failing
-   protocol and batch mode. *)
-let shrink_engine ~engine p (fl : failure) =
-  let check q =
-    check_prog_engine ~protocols:[ fl.cell.proto ] ~engine
-      ~batch_modes:[ fl.cell.batch ] q
-  in
-  let rec go p fl =
-    let next =
-      List.find_map
-        (fun q ->
-          match check q with Some flq -> Some (q, flq) | None -> None)
-        (Prog.shrink_candidates p)
-    in
-    match next with Some (q, flq) -> go q flq | None -> (p, fl)
-  in
-  go p fl
-
 type report = {
   programs : int;
   counterexample : (Prog.t * failure) option; (* already shrunk *)
@@ -368,67 +269,30 @@ let fuzz ?protocols ?shape ?nprocs ~seed ~count ~schedules ~fault_specs
   in
   go 0
 
-(* The engine-differential fuzz loop: generate [count] programs from
-   [seed] — the same stream the conformance fuzz draws for that seed —
-   and demand each one's parallel run is bit-identical to its sequential
-   run on every admissible protocol, batched and unbatched. Logs how many
-   parallel cells conservatively fell back (those pass trivially). *)
-let fuzz_engine ?protocols ?shape ?nprocs ~seed ~count ~engine ~batch_modes
-    ?(log = fun _ -> ()) () : report =
-  let fallbacks0 = par_fallbacks () in
-  let st = Random.State.make [| seed |] in
-  let rec go i =
-    if i >= count then begin
-      log
-        (Printf.sprintf "%d parallel cells re-run sequentially (conservative \
-                         fallback)"
-           (par_fallbacks () - fallbacks0));
-      { programs = i; counterexample = None }
-    end
-    else begin
-      let p = Prog.generate ?shape ?nprocs () st in
-      match check_prog_engine ?protocols ~engine ~batch_modes p with
-      | None ->
-          if (i + 1) mod 25 = 0 then
-            log (Printf.sprintf "%d/%d programs identical" (i + 1) count);
-          go (i + 1)
-      | Some fl ->
-          log
-            (Printf.sprintf "program %d diverged (%s); shrinking" i
-               (cell_to_string fl.cell));
-          let pmin, flmin = shrink_engine ~engine p fl in
-          { programs = i + 1; counterexample = Some (pmin, flmin) }
-    end
-  in
-  go 0
-
 let to_repro (p, (fl : failure)) =
   {
     Repro.proto = fl.cell.proto;
     policy = fl.cell.policy;
     faults = fl.cell.faults;
     batch = fl.cell.batch;
-    engine = fl.cell.engine;
     reason = fl.reason;
     prog = p;
   }
 
+let cell_of_repro (r : Repro.t) =
+  {
+    proto = r.Repro.proto;
+    policy = r.Repro.policy;
+    faults = r.Repro.faults;
+    batch = r.Repro.batch;
+    engine = Machine.Seq_engine;
+  }
+
 (* Re-run a saved counterexample: the pinned cell against a fresh
-   reference. An engine-differential repro (engine "par:N") is replayed
-   as its own seq-vs-par comparison instead. *)
+   reference. *)
 let replay (r : Repro.t) : failure option =
-  let cell =
-    {
-      proto = r.Repro.proto;
-      policy = r.Repro.policy;
-      faults = r.Repro.faults;
-      batch = r.Repro.batch;
-      engine = r.Repro.engine;
-    }
-  in
+  let cell = cell_of_repro r in
   let p = r.Repro.prog in
-  if cell.engine <> Machine.Seq_engine then check_cell_engine p cell
-  else
   let f = Prog.features p in
   let with_oracle = not f.Prog.incr in
   let run c =

@@ -8,13 +8,10 @@ type t
 (** One simulated machine plus CRL runtime. *)
 
 (** [policy] fixes the event queue's same-timestamp tie-break (default
-    FIFO); see {!Ace_engine.Event_queue.policy}. [engine] selects the
-    simulation engine (default sequential); see
-    {!Ace_engine.Machine.engine}. *)
+    FIFO); see {!Ace_engine.Event_queue.policy}. *)
 val create :
   ?cost:Ace_net.Cost_model.t ->
   ?policy:Ace_engine.Event_queue.policy ->
-  ?engine:Ace_engine.Machine.engine ->
   nprocs:int -> unit -> t
 
 type ctx

@@ -299,10 +299,8 @@ let reset t =
   Array.iter (fun counts -> Array.fill counts 0 (Array.length counts) 0.) t.hists
 
 (* Sum every counter, family cell, and histogram bucket of [src] into
-   [dst]. The parallel engine runs each shard against its own instance and
-   merges them into the root at the end of the run: addition is the only
-   combining operation any accumulator needs, so the merged totals are
-   identical to what a sequential run would have produced. *)
+   [dst]. Addition is the only combining operation any accumulator needs,
+   so folding several runs' instances into one gives their exact totals. *)
 let merge_into dst src =
   for sid = 0 to Array.length src.slots - 1 do
     let v = src.slots.(sid) in

@@ -88,8 +88,8 @@ val hist_counts : t -> hist -> float array * float array
 val hist_live : t -> hist -> float array * float array
 
 (** [merge_into dst src] sums every counter, family cell, and histogram
-    bucket of [src] into [dst] (used by the parallel engine to fold
-    per-shard accumulators into the run's root instance). [src] is not
+    bucket of [src] into [dst] (the benchmark's statistics sink,
+    [perf/bench.ml], uses it to total many runs). [src] is not
     modified. *)
 val merge_into : t -> t -> unit
 

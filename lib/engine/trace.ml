@@ -31,40 +31,17 @@ type t = {
   mutable n : int;
   mutable next_id : int; (* async (message-arc) id generator *)
   open_locks : (int * int, float) Hashtbl.t; (* (tid, rid) -> acquire ts *)
-  (* Parallel-engine support. With [par = None] (always the case for the
-     sequential engine) every path below is the historical single-domain
-     code. The parallel engine installs a tag function returning the
-     executing event's (order, push index): records are then appended under
-     [pmutex] from whichever shard produced them and the dump emits them
-     sorted by tag — which is exactly sequential append order, so the
-     serialized file is byte-identical to a sequential run's. *)
-  mutable par : (unit -> Pdes.Order.t * int) option;
-  pmutex : Mutex.t;
-  mutable tags : (Pdes.Order.t * int) array;
-  mutable tagged : bool;
 }
 
-let no_tag = (Pdes.Order.dummy, -1)
-
 let create () =
-  {
-    evs = [||];
-    n = 0;
-    next_id = 0;
-    open_locks = Hashtbl.create 32;
-    par = None;
-    pmutex = Mutex.create ();
-    tags = [||];
-    tagged = false;
-  }
+  { evs = [||]; n = 0; next_id = 0; open_locks = Hashtbl.create 32 }
 
 let n_events t = t.n
-let set_par t f = t.par <- f
 
 let dummy =
   { name = ""; cat = ""; ph = 'i'; ts = 0.; dur = 0.; tid = 0; id = -1; args = [] }
 
-let push_raw t ev =
+let push t ev =
   if t.n = Array.length t.evs then begin
     let a = Array.make (max 1024 (2 * t.n)) dummy in
     Array.blit t.evs 0 a 0 t.n;
@@ -72,20 +49,6 @@ let push_raw t ev =
   end;
   t.evs.(t.n) <- ev;
   t.n <- t.n + 1
-
-let push t ev =
-  match t.par with
-  | None -> push_raw t ev
-  | Some tag ->
-      Mutex.protect t.pmutex (fun () ->
-          push_raw t ev;
-          if Array.length t.tags < Array.length t.evs then begin
-            let a = Array.make (Array.length t.evs) no_tag in
-            Array.blit t.tags 0 a 0 (t.n - 1);
-            t.tags <- a
-          end;
-          t.tags.(t.n - 1) <- tag ();
-          t.tagged <- true)
 
 let span t ~name ~cat ~tid ~ts ~dur ?(args = []) () =
   push t { name; cat; ph = 'X'; ts; dur; tid; id = -1; args }
@@ -95,57 +58,24 @@ let instant t ~name ~cat ~tid ~ts ?(args = []) () =
 
 (* A send->deliver arc: an async pair anchored on the source row at [ts]
    and the destination row at [ts_end]. Both times are known at send time
-   (delivery is scheduled then), so the pair is recorded at once. Pair ids
-   allocated under the parallel engine reflect wall-clock interleaving;
-   the dump renumbers them in (sorted) record order, which is the order a
-   sequential run would have allocated them in. *)
+   (delivery is scheduled then), so the pair is recorded at once. *)
 let arc t ~name ~cat ~tid_src ~tid_dst ~ts ~ts_end ?(args = []) () =
-  let emit push1 =
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    push1 { name; cat; ph = 'b'; ts; dur = 0.; tid = tid_src; id; args };
-    push1 { name; cat; ph = 'e'; ts = ts_end; dur = 0.; tid = tid_dst; id; args = [] }
-  in
-  match t.par with
-  | None -> emit (push_raw t)
-  | Some tag ->
-      Mutex.protect t.pmutex (fun () ->
-          emit (fun ev ->
-              push_raw t ev;
-              if Array.length t.tags < Array.length t.evs then begin
-                let a = Array.make (Array.length t.evs) no_tag in
-                Array.blit t.tags 0 a 0 (t.n - 1);
-                t.tags <- a
-              end;
-              t.tags.(t.n - 1) <- tag ();
-              t.tagged <- true))
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  push t { name; cat; ph = 'b'; ts; dur = 0.; tid = tid_src; id; args };
+  push t { name; cat; ph = 'e'; ts = ts_end; dur = 0.; tid = tid_dst; id; args = [] }
 
 (* Lock-hold spans: the acquire site deposits its timestamp, the release
    site emits the [lock.hold] span covering the whole hold. A release with
    no recorded acquire (lock taken before tracing started) is dropped. *)
 let lock_acquired t ~tid ~rid ~ts =
-  match t.par with
-  | None -> Hashtbl.replace t.open_locks (tid, rid) ts
-  | Some _ ->
-      Mutex.protect t.pmutex (fun () ->
-          Hashtbl.replace t.open_locks (tid, rid) ts)
+  Hashtbl.replace t.open_locks (tid, rid) ts
 
 let lock_released t ~tid ~rid ~ts =
-  let t0 =
-    match t.par with
-    | None ->
-        let r = Hashtbl.find_opt t.open_locks (tid, rid) in
-        if r <> None then Hashtbl.remove t.open_locks (tid, rid);
-        r
-    | Some _ ->
-        Mutex.protect t.pmutex (fun () ->
-            let r = Hashtbl.find_opt t.open_locks (tid, rid) in
-            if r <> None then Hashtbl.remove t.open_locks (tid, rid);
-            r)
-  in
-  match t0 with
+  match Hashtbl.find_opt t.open_locks (tid, rid) with
   | None -> ()
   | Some t0 ->
+      Hashtbl.remove t.open_locks (tid, rid);
       span t ~name:"lock.hold" ~cat:"lock" ~tid ~ts:t0 ~dur:(ts -. t0)
         ~args:[ ("rid", rid) ] ()
 
@@ -198,51 +128,10 @@ let to_buffer t ~nprocs buf =
          ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"sort_index\":%d}}"
          tid tid)
   done;
-  (* Parallel-engine records carry (event order, push index) tags; emitting
-     in tag order reproduces sequential append order exactly (untagged
-     records — none in practice — keep their original position up front).
-     Async-pair ids are renumbered by first appearance in that order, which
-     is the order a sequential run allocates them in. *)
-  if t.tagged then begin
-    let perm = Array.init t.n Fun.id in
-    let tag i = if i < Array.length t.tags then t.tags.(i) else no_tag in
-    Array.sort
-      (fun i j ->
-        let oi, xi = tag i and oj, xj = tag j in
-        let c = Pdes.Order.compare oi oj in
-        if c <> 0 then c
-        else if xi <> xj then Int.compare xi xj
-        else Int.compare i j)
-      perm;
-    let ids = Hashtbl.create 64 in
-    let next = ref 0 in
-    Array.iter
-      (fun i ->
-        Buffer.add_string buf ",\n";
-        let ev = t.evs.(i) in
-        let ev =
-          if ev.id < 0 then ev
-          else begin
-            let id =
-              match Hashtbl.find_opt ids ev.id with
-              | Some id -> id
-              | None ->
-                  let id = !next in
-                  incr next;
-                  Hashtbl.add ids ev.id id;
-                  id
-            in
-            { ev with id }
-          end
-        in
-        add_ev buf ev)
-      perm
-  end
-  else
-    for i = 0 to t.n - 1 do
-      Buffer.add_string buf ",\n";
-      add_ev buf t.evs.(i)
-    done;
+  for i = 0 to t.n - 1 do
+    Buffer.add_string buf ",\n";
+    add_ev buf t.evs.(i)
+  done;
   Buffer.add_string buf "\n]}\n"
 
 let write_file t ~nprocs path =

@@ -141,7 +141,7 @@ let collect ?jobs (specs : spec array) =
        specs)
 
 (* Fig. 7a: Ace runtime vs CRL, both under the SC invalidation protocol. *)
-let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
+let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
   let iters = 4 in
   let nprocs = scale.nprocs in
   let pi run = Driver.per_iteration ~run_with_steps:run ~iters in
@@ -155,13 +155,13 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
         sbase =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_crl ?faults ?batch ?engine ~stats
+                Driver.run_crl ?faults ?batch ~stats
                   ?trace:(tp "Barnes-Hut" "crl")
                   ~nprocs (module Barnes_hut) (bh_cfg scale steps)));
         sace =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_ace ?faults ?batch ?engine ~stats
+                Driver.run_ace ?faults ?batch ~stats
                   ?trace:(tp "Barnes-Hut" "ace")
                   ~nprocs (module Barnes_hut) (bh_cfg scale steps)));
       };
@@ -170,12 +170,12 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
         sper_iteration = false;
         sbase =
           (fun ~stats ->
-            Driver.run_crl ?faults ?batch ?engine ~stats
+            Driver.run_crl ?faults ?batch ~stats
               ?trace:(tp "BSC" "crl") ~nprocs
               (module Cholesky) (bsc_cfg scale));
         sace =
           (fun ~stats ->
-            Driver.run_ace ?faults ?batch ?engine ~stats
+            Driver.run_ace ?faults ?batch ~stats
               ?trace:(tp "BSC" "ace") ~nprocs
               (module Cholesky) (bsc_cfg scale));
       };
@@ -185,13 +185,13 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
         sbase =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_crl ?faults ?batch ?engine ~stats
+                Driver.run_crl ?faults ?batch ~stats
                   ?trace:(tp "EM3D" "crl")
                   ~nprocs (module Em3d) (em3d_cfg scale steps)));
         sace =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_ace ?faults ?batch ?engine ~stats
+                Driver.run_ace ?faults ?batch ~stats
                   ?trace:(tp "EM3D" "ace")
                   ~nprocs (module Em3d) (em3d_cfg scale steps)));
       };
@@ -201,13 +201,13 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
         sbase =
           (fun ~stats ->
             avg
-              (Driver.run_crl ?faults ?batch ?engine ~stats
+              (Driver.run_crl ?faults ?batch ~stats
                  ?trace:(tp "TSP" "crl")
                  ~nprocs (module Tsp)));
         sace =
           (fun ~stats ->
             avg
-              (Driver.run_ace ?faults ?batch ?engine ~stats
+              (Driver.run_ace ?faults ?batch ~stats
                  ?trace:(tp "TSP" "ace")
                  ~nprocs (module Tsp)));
       };
@@ -217,13 +217,13 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
         sbase =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_crl ?faults ?batch ?engine ~stats
+                Driver.run_crl ?faults ?batch ~stats
                   ?trace:(tp "Water" "crl")
                   ~nprocs (module Water) (water_cfg scale steps)));
         sace =
           (fun ~stats ->
             pi (fun steps ->
-                Driver.run_ace ?faults ?batch ?engine ~stats
+                Driver.run_ace ?faults ?batch ~stats
                   ?trace:(tp "Water" "ace")
                   ~nprocs (module Water) (water_cfg scale steps)));
       };
@@ -231,7 +231,7 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
 
 (* Fig. 7b: single (SC) protocol vs application-specific protocols, both on
    the Ace runtime. *)
-let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
+let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
   let iters = 4 in
   let nprocs = scale.nprocs in
   let pi run = Driver.per_iteration ~run_with_steps:run ~iters in
@@ -239,30 +239,30 @@ let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
   let tp row side = trace_path trace_dir ~fig:"fig7b" ~row ~side in
   (* sides: "sc" = default protocol, "custom" = application-specific *)
   let em3d ~stats side proto steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats
+    Driver.run_ace ?faults ?batch ~stats
       ?trace:(tp "EM3D (static update)" side) ~nprocs (module Em3d)
       { (em3d_cfg scale steps) with Em3d.protocol = proto }
   in
   let bh ~stats side proto steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats
+    Driver.run_ace ?faults ?batch ~stats
       ?trace:(tp "Barnes-Hut (dyn update)" side) ~nprocs
       (module Barnes_hut)
       { (bh_cfg scale steps) with Barnes_hut.protocol = proto }
   in
   let water ~stats side protos steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats
+    Driver.run_ace ?faults ?batch ~stats
       ?trace:(tp "Water (null+pipeline)" side) ~nprocs
       (module Water)
       { (water_cfg scale steps) with Water.phase_protocols = protos }
   in
   let bsc ~stats side proto =
-    Driver.run_ace ?faults ?batch ?engine ~stats
+    Driver.run_ace ?faults ?batch ~stats
       ?trace:(tp "BSC (write-once)" side)
       ~nprocs (module Cholesky)
       { (bsc_cfg scale) with Cholesky.protocol = proto }
   in
   let tsp ~stats side proto cfg =
-    Driver.run_ace ?faults ?batch ?engine ~stats
+    Driver.run_ace ?faults ?batch ~stats
       ?trace:(tp "TSP (counter)" side)
       ~nprocs (module Tsp)
       { cfg with Tsp.counter_protocol = proto }
@@ -309,29 +309,29 @@ let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch ?engine () =
    the app's override (a collective Ace_ChangeProtocol), so the SC rows
    pay the same switch storm on both sides and the comparison is
    symmetric. *)
-let combinator ?(scale = default_scale) ?jobs ?faults ?batch ?engine () =
+let combinator ?(scale = default_scale) ?jobs ?faults ?batch () =
   let iters = 4 in
   let nprocs = scale.nprocs in
   let pi run = Driver.per_iteration ~run_with_steps:run ~iters in
   let avg run = let t, r = tsp_avg run in { Driver.seconds = t; result = r } in
   let em3d ~stats proto steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats ~nprocs (module Em3d)
+    Driver.run_ace ?faults ?batch ~stats ~nprocs (module Em3d)
       { (em3d_cfg scale steps) with Em3d.protocol = Some proto }
   in
   let bh ~stats proto steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats ~nprocs (module Barnes_hut)
+    Driver.run_ace ?faults ?batch ~stats ~nprocs (module Barnes_hut)
       { (bh_cfg scale steps) with Barnes_hut.protocol = Some proto }
   in
   let water ~stats proto steps =
-    Driver.run_ace ?faults ?batch ?engine ~stats ~nprocs (module Water)
+    Driver.run_ace ?faults ?batch ~stats ~nprocs (module Water)
       { (water_cfg scale steps) with Water.phase_protocols = Some (proto, proto) }
   in
   let bsc ~stats proto =
-    Driver.run_ace ?faults ?batch ?engine ~stats ~nprocs (module Cholesky)
+    Driver.run_ace ?faults ?batch ~stats ~nprocs (module Cholesky)
       { (bsc_cfg scale) with Cholesky.protocol = Some proto }
   in
   let tsp ~stats proto cfg =
-    Driver.run_ace ?faults ?batch ?engine ~stats ~nprocs (module Tsp)
+    Driver.run_ace ?faults ?batch ~stats ~nprocs (module Tsp)
       { cfg with Tsp.counter_protocol = Some proto }
   in
   let pair name hand dsl run =
@@ -638,7 +638,7 @@ let scaling_words_per_region r =
 
 let default_scaling_nprocs = [ 32; 64; 128; 256; 512; 1024 ]
 
-let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) ?engine () =
+let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) () =
   List.iter
     (fun n -> if n < 2 then invalid_arg "Experiments.scaling: nprocs < 2")
     nprocs_list;
@@ -683,19 +683,19 @@ let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) ?engine () =
         in
         [
           cell "EM3D" "inval" (fun ~stats ->
-              Driver.run_ace ?engine ~stats ~nprocs (module Em3d)
+              Driver.run_ace ~stats ~nprocs (module Em3d)
                 (em3d_cfg nprocs None));
           cell "EM3D" "update" (fun ~stats ->
-              Driver.run_ace ?engine ~stats ~nprocs (module Em3d)
+              Driver.run_ace ~stats ~nprocs (module Em3d)
                 (em3d_cfg nprocs (Some "STATIC_UPDATE")));
           cell "Barnes-Hut" "inval" (fun ~stats ->
-              Driver.run_ace ?engine ~stats ~nprocs (module Barnes_hut)
+              Driver.run_ace ~stats ~nprocs (module Barnes_hut)
                 (bh_cfg nprocs None));
           cell "Barnes-Hut" "update" (fun ~stats ->
-              Driver.run_ace ?engine ~stats ~nprocs (module Barnes_hut)
+              Driver.run_ace ~stats ~nprocs (module Barnes_hut)
                 (bh_cfg nprocs (Some "DYN_UPDATE")));
           cell "BSC" "inval" (fun ~stats ->
-              Driver.run_ace ?engine ~stats ~nprocs (module Cholesky)
+              Driver.run_ace ~stats ~nprocs (module Cholesky)
                 (bsc_cfg default_scale));
         ])
       nprocs_list
@@ -1015,93 +1015,4 @@ let print_fault_rows rows =
         r.fr_bench r.fr_drop r.fr_seconds r.fr_retransmits r.fr_timeouts
         r.fr_dup_suppressed r.fr_dropped r.fr_giveups r.fr_acks_piggybacked
         r.fr_acks_cumulative)
-    rows
-
-(* {2 Parallel engine speedup}
-
-   Wall-clock of the sharded engine vs the sequential engine on weak-scaled
-   EM3D and Barnes-Hut (same per-processor sizes as the scaling
-   experiment), where event counts are large enough for the conservative
-   lookahead to win. Cells run strictly serially — never through the
-   domain pool — because each parallel cell wants the host's cores for its
-   own shard domains, and the wall-clock ratio *is* the measurement.
-   Simulated output must be bit-identical between the two engines; every
-   row carries the comparison so the caller (and CI) can assert it. *)
-
-type engine_row = {
-  en_bench : string; (* "EM3D" | "Barnes-Hut" *)
-  en_nprocs : int;
-  en_shards : int; (* requested shard count of the parallel run *)
-  en_seq_wall : float; (* host seconds, sequential engine *)
-  en_par_wall : float; (* host seconds, sharded engine *)
-  en_seconds : float; (* simulated seconds (identical on both engines) *)
-  en_messages : float; (* physical messages (identical on both engines) *)
-  en_result : float;
-  en_identical : bool; (* par output matched seq bit-for-bit *)
-}
-
-let engine_wall_speedup r =
-  if r.en_par_wall > 0. then r.en_seq_wall /. r.en_par_wall else nan
-
-let default_engine_nprocs = [ 128; 512; 1024 ]
-
-let engine_speedup ?(shards = 4) ?(nprocs_list = default_engine_nprocs) () =
-  let em3d_cfg nprocs =
-    { Em3d.default with Em3d.n_nodes = 8 * nprocs; steps = 2 }
-  in
-  let bh_cfg nprocs =
-    { Barnes_hut.default with Barnes_hut.n_bodies = 2 * nprocs; steps = 1 }
-  in
-  let probe st (msgs : float ref) = msgs := Stats.get st "net.messages" in
-  let cell bench nprocs run =
-    let timed engine =
-      let msgs = ref 0. in
-      let t0 = Unix.gettimeofday () in
-      let out = run ~engine ~stats:(fun st -> probe st msgs) in
-      (out, !msgs, Unix.gettimeofday () -. t0)
-    in
-    let seq, seq_msgs, seq_wall = timed Ace_engine.Machine.Seq_engine in
-    let par, par_msgs, par_wall =
-      timed (Ace_engine.Machine.Par_engine shards)
-    in
-    {
-      en_bench = bench;
-      en_nprocs = nprocs;
-      en_shards = shards;
-      en_seq_wall = seq_wall;
-      en_par_wall = par_wall;
-      en_seconds = seq.Driver.seconds;
-      en_messages = seq_msgs;
-      en_result = seq.Driver.result;
-      en_identical =
-        seq.Driver.seconds = par.Driver.seconds
-        && seq_msgs = par_msgs
-        && (seq.Driver.result = par.Driver.result
-           || (Float.is_nan seq.Driver.result
-              && Float.is_nan par.Driver.result));
-    }
-  in
-  List.concat_map
-    (fun nprocs ->
-      [
-        cell "EM3D" nprocs (fun ~engine ~stats ->
-            Driver.run_ace ~engine ~stats ~nprocs (module Em3d)
-              (em3d_cfg nprocs));
-        cell "Barnes-Hut" nprocs (fun ~engine ~stats ->
-            Driver.run_ace ~engine ~stats ~nprocs (module Barnes_hut)
-              (bh_cfg nprocs));
-      ])
-    nprocs_list
-
-let print_engine_rows rows =
-  Printf.printf "%-12s %7s %7s %10s %10s %8s %6s %12s\n" "benchmark" "nprocs"
-    "shards" "seq wall" "par wall" "speedup" "ok" "sim s";
-  Printf.printf "%s\n" (String.make 80 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-12s %7d %7d %9.3fs %9.3fs %7.2fx %6s %12.6f\n"
-        r.en_bench r.en_nprocs r.en_shards r.en_seq_wall r.en_par_wall
-        (engine_wall_speedup r)
-        (if r.en_identical then "yes" else "NO")
-        r.en_seconds)
     rows

@@ -30,14 +30,12 @@ let hist_latency =
    sized by the links actually exercised. *)
 let dense_links_limit = 256
 
-(* One shard's accounting: logical-send counters plus live Stats cell
-   arrays, opened once so the per-message accounting is plain array stores
+(* The accounting: logical-send counters plus live Stats cell arrays,
+   opened once so the per-message accounting is plain array stores
    (Am.send is the simulator's hottest path; the dimensions are fixed at
    nprocs / nprocs^2 so the references never go stale — see
-   Stats.dim_open). Sequentially there is exactly one of these, bound to
-   the machine's root stats; under the parallel engine each shard builds
-   its own on first send, bound to its private stats instance (merged into
-   the root when the run ends), so the hot path stays lock-free. *)
+   Stats.dim_open). Built on the first send, so a machine that is set up
+   but never sends does not allocate the nprocs^2 link array. *)
 type acct = {
   stats : Stats.t;
   mutable messages : int; (* logical sends: one per [send] call *)
@@ -57,7 +55,7 @@ type t = {
   mutable faults : Faults.t option;
   mutable batching : bool; (* opt-in bulk-transfer mode; off = historical paths *)
   nprocs : int;
-  accts : acct option array; (* slot [i] built and touched only by shard [i] *)
+  mutable acct : acct option;
 }
 
 (* Bump a per-link family cell in whichever representation this machine
@@ -84,15 +82,12 @@ let mk_acct nprocs stats =
     lat_counts;
   }
 
-(* The executing shard's accounting, built on first use from the stats
-   instance current in this context. *)
 let acct t =
-  let ix = Machine.shard_ix t.machine in
-  match t.accts.(ix) with
+  match t.acct with
   | Some a -> a
   | None ->
       let a = mk_acct t.nprocs (Machine.stats t.machine) in
-      t.accts.(ix) <- Some a;
+      t.acct <- Some a;
       a
 
 let create machine cost =
@@ -102,7 +97,7 @@ let create machine cost =
     faults = None;
     batching = false;
     nprocs = Machine.nprocs machine;
-    accts = Array.make (Machine.nshards machine) None;
+    acct = None;
   }
 
 let machine t = t.machine
@@ -144,11 +139,7 @@ let deliver t ~now ~src ~dst ~bytes ~fbytes ~extra handler =
         ~args:[ ("src", src); ("dst", dst); ("bytes", bytes) ] ());
   match Machine.crit t.machine with
   | None ->
-      (* The handler touches the destination's state: route the delivery
-         to [dst]'s shard. Arrival is at least a wire latency away, so it
-         lands at or beyond the parallel engine's horizon. *)
-      Machine.schedule ~owner:dst t.machine ~time:arrival (fun () ->
-          handler ~time:arrival)
+      Machine.schedule t.machine ~time:arrival (fun () -> handler ~time:arrival)
   | Some c ->
       (* The send→deliver arc: the handler's cause is this wire message,
          whose own cause is whatever context performed the send. *)
@@ -272,12 +263,5 @@ let rpc t p ~dst ~bytes handler =
   send_from t p ~dst ~bytes (fun ~time -> handler reply ~time);
   Machine.await p reply
 
-(* Logical-send totals: the sum over the per-shard accounts. Only stable
-   between windows (callers read them after the run). *)
-let sum_accts t f =
-  Array.fold_left
-    (fun n -> function Some a -> n + f a | None -> n)
-    0 t.accts
-
-let messages t = sum_accts t (fun a -> a.messages)
-let bytes_sent t = sum_accts t (fun a -> a.bytes_sent)
+let messages t = match t.acct with Some a -> a.messages | None -> 0
+let bytes_sent t = match t.acct with Some a -> a.bytes_sent | None -> 0

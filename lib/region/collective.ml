@@ -15,25 +15,19 @@ module Ivar = Ace_engine.Ivar
 module Net = Ace_net.Reliable
 
 type t = {
-  slots : (int, int array Ivar.t) Hashtbl.t array;
-      (* per consumer node, keyed by op. Split per node — not one table
-         keyed by op * nprocs + consumer — so each table is only ever
-         touched from its consumer's context (the delivery handler runs on
-         the consumer's shard under the parallel engine, the await in the
-         consumer's own fiber). *)
+  slots : (int, int array Ivar.t) Hashtbl.t; (* op * nprocs + consumer *)
   nprocs : int;
 }
 
-let create ~nprocs =
-  { slots = Array.init nprocs (fun _ -> Hashtbl.create 8); nprocs }
+let create ~nprocs = { slots = Hashtbl.create 16; nprocs }
 
 let slot t ~op ~node =
-  let h = t.slots.(node) in
-  match Hashtbl.find_opt h op with
+  let key = (op * t.nprocs) + node in
+  match Hashtbl.find_opt t.slots key with
   | Some v -> v
   | None ->
       let v = Ivar.create () in
-      Hashtbl.add h op v;
+      Hashtbl.add t.slots key v;
       v
 
 (* [bcast t bctx ~ctr ~root f]: the root evaluates [f ()] and sends the
@@ -57,7 +51,7 @@ let bcast t (bctx : Blocks.ctx) ~ctr ~root f =
   else begin
     let v = slot t ~op ~node:me in
     let arr = Machine.await p v in
-    Hashtbl.remove t.slots.(me) op;
+    Hashtbl.remove t.slots ((op * t.nprocs) + me);
     arr
   end
 

@@ -5,8 +5,12 @@ Compares a fresh `bench/main.exe --json` report against the committed
 baseline (BENCH_*.json). Fails (exit 1) when the total wall clock exceeds
 the baseline by more than the tolerance (default 15%), and prints a
 per-experiment row diff so the offending cell is visible at a glance.
-Simulated times are deterministic, so any sim_s difference is reported as
-a warning regardless of the wall verdict.
+
+It is also the identity gate: simulated output is deterministic, so every
+row the two reports share must carry identical simulated output -- every
+sim_s value (keys naming host-side quantities such as walls excepted) and
+every net_messages count. Any difference fails the guard (exit 1)
+regardless of the wall verdict, and is listed.
 
 When the current report contains `scaling` rows (bench/main.exe scaling),
 a directory-memory guard also runs: for the sparsely-shared benchmarks the
@@ -36,36 +40,17 @@ protocol's. The claim is scale-sensitive (update-protocol push fan-out
 grows with the sharer population), so CI runs this guard on the --small
 smoke, the configuration the claim is made for.
 
-When invoked with `--engine-only`, the parallel-engine guard runs instead
-of the wall-clock comparison. Two shapes:
-
-  * CURRENT vs BASELINE: CURRENT is the benchmark grid re-run under
-    `--engine par:N`; every row shared with the (sequential) baseline
-    must have *identical* simulated output — sim_s scalars and message
-    counts, wall-clock keys excluded. This is the tentpole contract: the
-    sharded engine is an implementation detail, not a semantics change.
-  * CURRENT alone: CURRENT holds `engine_speedup` rows (bench/main.exe
-    engine_speedup). Bit-identity (the row's own seq-vs-par comparison)
-    is always enforced. The wall-clock assertions — par never slower
-    than seq on the weak-scaled rows, and a headline >= 1.5x speedup at
-    >= 512 nodes — only gate when the host actually has at least as many
-    cores as the engine has shards; on smaller hosts (CI runners are
-    often 2-core) they are reported informationally, because a sharded
-    simulator cannot beat sequential without real parallelism.
-
 Usage:
     bench_guard.py CURRENT.json BASELINE.json [--tolerance 0.15]
                    [--report OUT.json]
     bench_guard.py SCALING.json --scaling-only [--report OUT.json]
     bench_guard.py CRITPATH.json --critpath-only [--report OUT.json]
     bench_guard.py SERVING.json --serving-only [--report OUT.json]
-    bench_guard.py ENGINE.json [BASELINE.json] --engine-only
-                   [--report OUT.json]
+    bench_guard.py COMBINATOR.json --combinator-only [--report OUT.json]
 """
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -248,29 +233,23 @@ def combinator_guard(report):
     return checks
 
 
-# Parallel-engine speedup thresholds. Wall assertions only gate when the
-# host has at least [shards] cores; identity always gates.
-ENGINE_HEADLINE_SPEEDUP = 1.5
-ENGINE_HEADLINE_NPROCS = 512
-
 # sim_s keys that are host-wall-derived rather than simulated output, and
 # therefore exempt from the identity comparison.
-ENGINE_WALL_KEYS = ("wall", "speedup", "jobs")
+WALL_KEYS = ("wall", "speedup", "jobs")
 
 
-def engine_identity_guard(cur, base):
-    """Every shared grid row must have identical simulated output."""
+def identity_guard(cur, base):
+    """Every row shared with the baseline must have identical simulated
+    output; return one check per shared row."""
     cur_rows = rows_by_key(cur)
     base_rows = rows_by_key(base)
     checks = []
     for key in sorted(set(cur_rows) & set(base_rows)):
         exp, name = key
-        if exp == "engine_speedup":
-            continue  # wall-dependent by construction
         c, b = cur_rows[key], base_rows[key]
         diffs = []
         for sim_key, bv in (b.get("sim_s") or {}).items():
-            if any(w in sim_key for w in ENGINE_WALL_KEYS):
+            if any(w in sim_key for w in WALL_KEYS):
                 continue
             cv = (c.get("sim_s") or {}).get(sim_key)
             if cv != bv:
@@ -280,57 +259,10 @@ def engine_identity_guard(cur, base):
             if cv != bv:
                 diffs.append(f"net_messages[{msg_key}] {bv!r} -> {cv!r}")
         checks.append({
-            "series": f"engine-identity {exp}/{name}",
+            "series": f"identity {exp}/{name}",
             "diffs": diffs,
             "ok": not diffs,
         })
-    return checks
-
-
-def engine_speedup_guard(report):
-    """Check engine_speedup rows: identity always, walls when cores allow."""
-    rows = [r for r in report.get("rows", [])
-            if r.get("experiment") == "engine_speedup"]
-    if not rows:
-        return []
-
-    checks = []
-    host_cores = os.cpu_count() or 1
-    shards = 0
-    for r in rows:
-        sims = r.get("sim_s") or {}
-        shards = max(shards, int(sims.get("shards") or 0))
-        checks.append({
-            "series": f"engine-identical {r.get('name', '?')}",
-            "ok": sims.get("identical") == 1,
-        })
-    enforce = shards > 0 and host_cores >= shards
-
-    best = None
-    for r in rows:
-        sims = r.get("sim_s") or {}
-        speedup = sims.get("speedup")
-        if speedup is None:
-            continue
-        nprocs = int(sims.get("nprocs") or 0)
-        if nprocs >= ENGINE_HEADLINE_NPROCS:
-            best = speedup if best is None else max(best, speedup)
-        checks.append({
-            "series": f"engine-parity {r.get('name', '?')}",
-            "speedup": speedup,
-            "enforced": enforce,
-            "ok": (not enforce) or speedup >= 1.0,
-        })
-    checks.append({
-        "series": "engine-headline-speedup",
-        "host_cores": host_cores,
-        "shards": shards,
-        "enforced": enforce,
-        "best_speedup": best,
-        "limit": ENGINE_HEADLINE_SPEEDUP,
-        "ok": (not enforce) or (best is not None
-                                and best >= ENGINE_HEADLINE_SPEEDUP),
-    })
     return checks
 
 
@@ -354,11 +286,6 @@ def main():
                     help="skip the wall-clock comparison; only run the "
                          "combinator identity + dispatch-overhead guard on "
                          "CURRENT's combinator rows")
-    ap.add_argument("--engine-only", action="store_true",
-                    help="parallel-engine guard: with BASELINE, require "
-                         "identical simulated output on shared rows; "
-                         "without, check CURRENT's engine_speedup rows "
-                         "(speedup gates only when host cores >= shards)")
     ap.add_argument("--report", help="write a JSON verdict artifact here")
     args = ap.parse_args()
 
@@ -455,53 +382,6 @@ def main():
                            "combinator": combinator_checks}, f, indent=2)
         sys.exit(0 if combinator_ok else 1)
 
-    if args.engine_only:
-        checks = []
-        if args.baseline is not None:
-            checks += engine_identity_guard(cur, load(args.baseline))
-        checks += engine_speedup_guard(cur)
-        if not checks:
-            sys.exit("bench_guard: --engine-only but no engine_speedup "
-                     "rows in current report and no baseline to compare")
-        engine_ok = all(c["ok"] for c in checks)
-        for c in checks:
-            series = c["series"]
-            if series.startswith("engine-identity"):
-                if c["ok"]:
-                    continue
-                print(f"bench_guard: {series}: DIVERGED")
-                for d in c["diffs"]:
-                    print(f"    {d}")
-            elif series.startswith("engine-identical"):
-                print(f"bench_guard: {series}: "
-                      f"{'OK' if c['ok'] else 'DIVERGED'}")
-            elif series.startswith("engine-parity"):
-                tag = "" if c["enforced"] else " (informational: host too small)"
-                print(f"bench_guard: {series}: speedup {c['speedup']:.2f}x"
-                      f"{tag} {'OK' if c['ok'] else 'SLOWER THAN SEQ'}")
-            else:
-                best = c["best_speedup"]
-                tag = ("" if c["enforced"]
-                       else f" (informational: {c['host_cores']} host "
-                            f"cores < {c['shards']} shards)")
-                print(f"bench_guard: engine headline: best speedup at "
-                      f">= {ENGINE_HEADLINE_NPROCS} nodes "
-                      f"{best if best is None else f'{best:.2f}x'} "
-                      f"(limit {c['limit']}x){tag} "
-                      f"{'OK' if c['ok'] else 'BELOW TARGET'}")
-        n_ident = sum(1 for c in checks
-                      if c["series"].startswith("engine-identity"))
-        if n_ident:
-            n_bad = sum(1 for c in checks
-                        if c["series"].startswith("engine-identity")
-                        and not c["ok"])
-            print(f"bench_guard: engine identity: {n_ident} shared rows, "
-                  f"{n_bad} diverged")
-        if args.report:
-            with open(args.report, "w") as f:
-                json.dump({"ok": engine_ok, "engine": checks}, f, indent=2)
-        sys.exit(0 if engine_ok else 1)
-
     if args.baseline is None:
         ap.error("baseline report required unless --scaling-only")
     base = load(args.baseline)
@@ -517,8 +397,10 @@ def main():
     cur_rows = rows_by_key(cur)
     base_rows = rows_by_key(base)
 
+    identity_checks = identity_guard(cur, base)
+    identity_ok = all(c["ok"] for c in identity_checks)
+
     row_diffs = []
-    sim_warnings = []
     for key in sorted(set(cur_rows) | set(base_rows)):
         c = cur_rows.get(key)
         b = base_rows.get(key)
@@ -537,15 +419,12 @@ def main():
             "baseline_wall_s": bw, "current_wall_s": cw,
             "ratio": (cw / bw) if bw > 0 else None,
         })
-        for sim_key, bv in (b.get("sim_s") or {}).items():
-            cv = (c.get("sim_s") or {}).get(sim_key)
-            if cv is not None and cv != bv:
-                sim_warnings.append(
-                    f"{exp}/{name}: sim_s[{sim_key}] {bv!r} -> {cv!r}")
 
     verdict = {
-        "ok": ok and scaling_ok and critpath_ok and serving_ok,
+        "ok": ok and identity_ok and scaling_ok and critpath_ok and serving_ok,
         "wall_ok": ok,
+        "identity_ok": identity_ok,
+        "identity": identity_checks,
         "scaling": scaling_checks,
         "critpath": critpath_checks,
         "serving": serving_checks,
@@ -554,7 +433,6 @@ def main():
         "current_total_wall_s": cur_total,
         "limit_wall_s": limit,
         "rows": row_diffs,
-        "sim_warnings": sim_warnings,
     }
     if args.report:
         with open(args.report, "w") as f:
@@ -563,8 +441,15 @@ def main():
     print(f"bench_guard: total wall {cur_total:.3f}s vs baseline "
           f"{base_total:.3f}s (limit {limit:.3f}s, "
           f"{'OK' if ok else 'REGRESSION'})")
-    for w in sim_warnings:
-        print(f"  warning: simulated time changed: {w}")
+    n_bad = 0
+    for c in identity_checks:
+        if not c["ok"]:
+            n_bad += 1
+            print(f"bench_guard: {c['series']}: DIVERGED")
+            for d in c["diffs"]:
+                print(f"    {d}")
+    print(f"bench_guard: identity: {len(identity_checks)} shared rows, "
+          f"{n_bad} diverged ({'OK' if identity_ok else 'SIMULATED OUTPUT CHANGED'})")
     if not ok:
         print(f"  {'experiment/row':<40} {'base_s':>9} {'cur_s':>9} "
               f"{'ratio':>7}")
@@ -579,7 +464,7 @@ def main():
                   f"{ratio:>7.2f}" if ratio is not None else
                   f"  {label:<40} (no baseline wall)")
         sys.exit(1)
-    if not scaling_ok or not critpath_ok or not serving_ok:
+    if not identity_ok or not scaling_ok or not critpath_ok or not serving_ok:
         sys.exit(1)
 
 

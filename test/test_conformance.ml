@@ -203,7 +203,39 @@ let fuzz_catches_broken_protocol () =
         (Prog.to_string r2.Repro.prog = Prog.to_string p
         && r2.Repro.proto = r.Repro.proto
         && r2.Repro.policy = r.Repro.policy);
-      check "replay still fails" true (Runner.replay r2 <> None)
+      check "replay still fails" true (Runner.replay r2 <> None);
+      (* malformed headers name the field and the value *)
+      let text = Repro.to_string r in
+      let set key value =
+        String.split_on_char '\n' text
+        |> List.map (fun l ->
+               if String.starts_with ~prefix:(key ^ " ") l then
+                 key ^ " " ^ value
+               else l)
+        |> String.concat "\n"
+      in
+      let error_of s =
+        match Repro.of_string s with
+        | _ -> None
+        | exception Invalid_argument m -> Some m
+      in
+      let rejects what s want =
+        Alcotest.(check (option string)) what (Some want) (error_of s)
+      in
+      rejects "bad batch" (set "batch" "maybe")
+        {|Repro.of_string: bad batch "maybe"|};
+      rejects "bad faults" (set "faults" "drop=x")
+        {|Repro.of_string: bad faults "drop=x"|};
+      rejects "bad policy" (set "policy" "sometimes")
+        {|Repro.of_string: bad policy "sometimes"|};
+      rejects "bad proto" (set "proto" "") {|Repro.of_string: bad proto ""|};
+      let with_engine e =
+        set "batch" (string_of_bool r.Repro.batch ^ "\nengine " ^ e)
+      in
+      check "engine seq accepted and ignored" true
+        (Repro.to_string (Repro.of_string (with_engine "seq")) = text);
+      rejects "engine par:N names the removed engine" (with_engine "par:4")
+        {|Repro.of_string: bad engine "par:4" (the parallel engine was removed; only "seq" replays)|}
 
 let prog_text_roundtrip () =
   let st = Random.State.make [| 99 |] in

@@ -277,6 +277,159 @@ let machine_rejects_negative_advance () =
    with Invalid_argument _ -> raised := true);
   check "negative advance rejected" true !raised
 
+(* ---- same-timestamp order fixtures ----
+
+   Bit-identical simulated output rests on two tie-breaks: events at equal
+   times run in push (FIFO) order, and a barrier's last arriver keeps
+   running inside the releasing event, ahead of the waiters it wakes. Each
+   fixture runs a 4-processor program whose per-processor event logs and
+   final time depend on exactly those orders, and pins them. *)
+
+type log = (int * float) list array
+
+let run_fixture make : log * float =
+  let n = 4 in
+  let m = Machine.create ~nprocs:n () in
+  let logs = Array.make n [] in
+  let log i tag t = logs.(i) <- (tag, t) :: logs.(i) in
+  let program = make m in
+  Machine.run m (fun p -> program log p);
+  (Array.map List.rev logs, Machine.time m)
+
+let check_fixture make ~logs ~time =
+  let got_logs, got_time = run_fixture make in
+  Alcotest.(check (array (list (pair int (float 0.))))) "per-proc logs" logs
+    got_logs;
+  Alcotest.(check (float 0.)) "final time" time got_time
+
+(* One skewed barrier first, so the events below start from a release. *)
+let after_barrier m body =
+  let b = Machine.Barrier.create m ~cost:(fun _ -> 4.) in
+  fun log p ->
+    Machine.advance p (float_of_int p.Machine.id);
+    Machine.Barrier.wait b p;
+    body log p
+
+(* Every processor schedules an event on every other processor at one
+   absolute timestamp: three same-time events per destination, run in the
+   pushers' execution order. *)
+let fixture_ties () =
+  check_fixture
+    (fun m ->
+      after_barrier m (fun log p ->
+          let me = p.Machine.id in
+          Machine.advance p (float_of_int (3 * me));
+          for dst = 0 to 3 do
+            if dst <> me then
+              Machine.schedule m ~time:100. (fun () -> log dst me 100.)
+          done;
+          Machine.advance p 50.;
+          log me (-1) p.Machine.clock))
+    ~logs:
+      [|
+        [ (-1, 57.); (1, 100.); (2, 100.); (3, 100.) ];
+        [ (-1, 60.); (0, 100.); (2, 100.); (3, 100.) ];
+        [ (-1, 63.); (0, 100.); (1, 100.); (3, 100.) ];
+        [ (-1, 66.); (0, 100.); (1, 100.); (2, 100.) ];
+      |]
+    ~time:100.
+
+(* Relayed events: a delivered event re-schedules onto another processor
+   at a shared timestamp, so an event's pushes (not just a fiber's) must
+   keep their order. *)
+let fixture_relay () =
+  check_fixture
+    (fun m ->
+      after_barrier m (fun log p ->
+          let me = p.Machine.id in
+          if me = 3 then
+            for k = 0 to 4 do
+              let t1 = 30. +. float_of_int k in
+              Machine.schedule m ~time:t1 (fun () ->
+                  log 0 (100 + k) t1;
+                  Machine.schedule m ~time:70. (fun () -> log 2 (200 + k) 70.))
+            done;
+          Machine.advance p 80.;
+          log me (-1) p.Machine.clock))
+    ~logs:
+      [|
+        [ (100, 30.); (101, 31.); (102, 32.); (103, 33.); (104, 34.); (-1, 87.) ];
+        [ (-1, 87.) ];
+        [ (200, 70.); (201, 70.); (202, 70.); (203, 70.); (204, 70.); (-1, 87.) ];
+        [ (-1, 87.) ];
+      |]
+    ~time:87.
+
+(* Processor 0 blocks on an ivar that an event scheduled by processor 3
+   fills; the waiter resumes at the fill time. *)
+let fixture_ivar () =
+  check_fixture
+    (fun m ->
+      let iv = Ivar.create () in
+      after_barrier m (fun log p ->
+          match p.Machine.id with
+          | 0 ->
+              Machine.advance p 5.;
+              let v = Machine.await p iv in
+              log 0 v p.Machine.clock
+          | 3 ->
+              Machine.advance p 20.;
+              let t = p.Machine.clock +. 15. in
+              Machine.schedule m ~time:t (fun () -> Ivar.fill iv ~time:t 42);
+              Machine.advance p 1.;
+              log 3 (-1) p.Machine.clock
+          | i ->
+              Machine.advance p 2.;
+              log i (-1) p.Machine.clock))
+    ~logs:[| [ (42, 42.) ]; [ (-1, 9.) ]; [ (-1, 9.) ]; [ (-1, 28.) ] |]
+    ~time:42.
+
+(* Barrier rounds with rotating arrival order: a different processor is
+   the last arriver each round. *)
+let fixture_barrier () =
+  let rounds = [ (0, 16.); (1, 32.); (2, 49.); (3, 66.); (4, 84.) ] in
+  check_fixture
+    (fun m ->
+      let b = Machine.Barrier.create m ~cost:(fun n -> float_of_int (2 * n)) in
+      fun log p ->
+        let me = p.Machine.id in
+        for round = 0 to 4 do
+          Machine.advance p (float_of_int (((me + round) * 7) mod 13));
+          Machine.Barrier.wait b p;
+          log me round p.Machine.clock
+        done)
+    ~logs:(Array.make 4 rounds) ~time:84.
+
+(* After a skewed barrier the last arriver keeps running inside the
+   releasing event, so its same-time push beats the woken processors'
+   pushes. All four race an event onto processor 0 at one timestamp right
+   after each release; the service order is pinned. *)
+let fixture_last_arriver_race () =
+  check_fixture
+    (fun m ->
+      let b = Machine.Barrier.create m ~cost:(fun _ -> 4.) in
+      fun log p ->
+        let me = p.Machine.id in
+        for round = 1 to 3 do
+          Machine.advance p (float_of_int ((7 * (me + round)) mod 13));
+          Machine.Barrier.wait b p;
+          let t = 200. *. float_of_int round in
+          Machine.schedule m ~time:t (fun () -> log 0 me t)
+        done;
+        log me (-1) p.Machine.clock)
+    ~logs:
+      [|
+        [
+          (-1, 38.); (2, 200.); (1, 200.); (3, 200.); (0, 200.); (3, 400.);
+          (0, 400.); (2, 400.); (1, 400.); (2, 600.); (1, 600.); (3, 600.);
+          (0, 600.);
+        ];
+        [ (-1, 38.) ];
+        [ (-1, 38.) ];
+        [ (-1, 38.) ];
+      |]
+    ~time:600.
+
 (* ---- stats ---- *)
 
 let stats_counters () =
@@ -287,6 +440,25 @@ let stats_counters () =
   check "x" true (Stats.get s "x" = 3.5);
   check "missing is zero" true (Stats.get s "z" = 0.);
   check_int "listing" 2 (List.length (Stats.to_list s))
+
+let stats_merge_roundtrip () =
+  let a = Stats.create () in
+  let b = Stats.create () in
+  Stats.add a "x" 2.;
+  Stats.add b "x" 3.;
+  Stats.add b "y" 1.;
+  let f = Stats.fam "test.merge.fam" in
+  Stats.add_dim a f 0 5.;
+  Stats.add_dim b f 0 7.;
+  Stats.add_dim b f 3 1.;
+  Stats.merge_into a b;
+  check "scalar summed" true (Stats.get a "x" = 5.);
+  check "scalar adopted" true (Stats.get a "y" = 1.);
+  check "dim summed" true (Stats.get_dim a f 0 = 12.);
+  check "dim adopted" true (Stats.get_dim a f 3 = 1.);
+  check "source untouched" true (Stats.get b "x" = 3.);
+  Stats.reset b;
+  check "source resets clean" true (Stats.get b "x" = 0.)
 
 let () =
   Alcotest.run "engine"
@@ -325,5 +497,19 @@ let () =
           Alcotest.test_case "negative advance" `Quick
             machine_rejects_negative_advance;
         ] );
-      ("stats", [ Alcotest.test_case "counters" `Quick stats_counters ]);
+      ( "fixtures",
+        [
+          Alcotest.test_case "same-timestamp events" `Quick fixture_ties;
+          Alcotest.test_case "relayed events" `Quick fixture_relay;
+          Alcotest.test_case "delivered ivar wakeup" `Quick fixture_ivar;
+          Alcotest.test_case "barrier last-arriver rotation" `Quick
+            fixture_barrier;
+          Alcotest.test_case "post-barrier same-time contention" `Quick
+            fixture_last_arriver_race;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "counters" `Quick stats_counters;
+          Alcotest.test_case "merge roundtrip" `Quick stats_merge_roundtrip;
+        ] );
     ]
