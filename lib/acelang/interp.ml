@@ -7,7 +7,16 @@
    space-indirection cost; removed calls cost nothing at all (the interp
    still performs the zero-cost access bookkeeping the real compiled null
    call would not need, because the simulator uses it to serialize
-   coherence actions). *)
+   coherence actions).
+
+   [run_spmd] first compiles each function into OCaml closures, once per
+   run and on its first call: every variable becomes an index into the
+   call's [value array], every operator and annotation decision is taken
+   at compile time, and a call site binds its callee on first execution
+   (so recursion works). The closures perform every charge, runtime call
+   and subexpression evaluation in the order a direct walk of the IR tree
+   would, so simulated time is exactly that of the IR's semantics; each
+   [let] below that sequences two evaluations is load-bearing. *)
 
 module Ops = Ace_runtime.Ops
 module Protocol = Ace_runtime.Protocol
@@ -17,6 +26,7 @@ module Blocks = Ace_region.Blocks
 exception Runtime_error of string
 
 type value =
+  | Unbound (* a variable not yet assigned in this call *)
   | VNum of float
   | VMapped of Store.meta
   | VReg of int (* region id *)
@@ -26,11 +36,7 @@ type value =
 
 exception Return_exc of value option
 
-type frame = {
-  prog : Ir.iprogram;
-  ctx : Ops.ctx;
-  vars : (string, value) Hashtbl.t;
-}
+type frame = { ctx : Ops.ctx; vars : value array }
 
 (* Instruction cost model. Arithmetic is charged through the kernels'
    explicit work() calls (the same flops the hand-written versions charge),
@@ -42,288 +48,403 @@ let call_overhead = 12.
 let access_cycles = 1.
 
 let charge fr c = Ops.work fr.ctx c
+let fail msg = raise (Runtime_error msg)
 
-let lookup fr x =
-  match Hashtbl.find_opt fr.vars x with
-  | Some v -> v
-  | None -> raise (Runtime_error ("unbound variable " ^ x))
+(* ---- variables ---- *)
 
-let num = function
+(* Compile-time map from one function's variable names to frame slots. *)
+type scope = { slots : (string, int) Hashtbl.t; mutable nslots : int }
+
+let slot sc x =
+  match Hashtbl.find_opt sc.slots x with
+  | Some i -> i
+  | None ->
+      let i = sc.nslots in
+      Hashtbl.add sc.slots x i;
+      sc.nslots <- i + 1;
+      i
+
+let lookup fr x i =
+  match Array.unsafe_get fr.vars i with
+  | Unbound -> fail ("unbound variable " ^ x)
+  | v -> v
+
+let set fr i v = Array.unsafe_set fr.vars i v
+
+let num_var fr x i =
+  match Array.unsafe_get fr.vars i with
   | VNum v -> v
-  | _ -> raise (Runtime_error "expected a number")
+  | Unbound -> fail ("unbound variable " ^ x)
+  | _ -> fail "expected a number"
 
-let rec eval fr (e : Ir.nexpr) : float =
-  match e with
-  | Ir.NNum v -> v
-  | Ir.NVar x -> num (lookup fr x)
-  | Ir.NMe -> float_of_int (Ops.me fr.ctx)
-  | Ir.NNprocs -> float_of_int (Ops.nprocs fr.ctx)
-  | Ir.NSqrt e ->
-      charge fr 30. (* software-assisted sqrt on the 33 MHz SPARC *);
-      sqrt (eval fr e)
-  | Ir.NMod (a, b) ->
-      charge fr 8.;
-      let b = eval fr b in
-      if b = 0. then raise (Runtime_error "mod by zero");
-      float_of_int (int_of_float (eval fr a) mod int_of_float b)
-  | Ir.NNot e ->
-      charge fr op_cycles;
-      if eval fr e = 0. then 1. else 0.
-  | Ir.NIdx (a, i) -> (
-      charge fr op_cycles;
-      let idx = int_of_float (eval fr i) in
-      match lookup fr a with
-      | VNumArr arr ->
-          if idx < 0 || idx >= Array.length arr then
-            raise (Runtime_error ("index out of bounds on " ^ a));
-          arr.(idx)
-      | _ -> raise (Runtime_error (a ^ " is not a local array")))
-  | Ir.NBin (op, a, b) ->
-      charge fr op_cycles;
-      let x = eval fr a and y = eval fr b in
-      let bool v = if v then 1. else 0. in
-      (match op with
-      | Ast.Add -> x +. y
-      | Ast.Sub -> x -. y
-      | Ast.Mul -> x *. y
-      | Ast.Div -> x /. y
-      | Ast.Lt -> bool (x < y)
-      | Ast.Le -> bool (x <= y)
-      | Ast.Gt -> bool (x > y)
-      | Ast.Ge -> bool (x >= y)
-      | Ast.Eq -> bool (x = y)
-      | Ast.Ne -> bool (x <> y)
-      | Ast.And -> bool (x <> 0. && y <> 0.)
-      | Ast.Or -> bool (x <> 0. || y <> 0.))
-
-let eval_rexpr fr (r : Ir.rexpr) : int =
-  match r with
-  | Ir.RVar x -> (
-      match lookup fr x with
-      | VReg rid -> rid
-      | _ -> raise (Runtime_error (x ^ " is not a region")))
-  | Ir.RIdx (a, i) -> (
-      let idx = int_of_float (eval fr i) in
-      match lookup fr a with
-      | VRegArr arr ->
-          if idx < 0 || idx >= Array.length arr then
-            raise (Runtime_error ("region index out of bounds on " ^ a));
-          let rid = arr.(idx) in
-          if rid < 0 then raise (Runtime_error (a ^ " element unset"));
-          rid
-      | _ -> raise (Runtime_error (a ^ " is not a region array")))
-
-let mapped fr t =
-  match lookup fr t with
+let mapped fr t i =
+  match lookup fr t i with
   | VMapped meta -> meta
-  | _ -> raise (Runtime_error (t ^ " is not a mapped handle"))
+  | _ -> fail (t ^ " is not a mapped handle")
 
-let space_sid fr s =
-  match lookup fr s with
+let space_sid fr s i =
+  match lookup fr s i with
   | VSpace sid -> sid
-  | _ -> raise (Runtime_error (s ^ " is not a space"))
+  | _ -> fail (s ^ " is not a space")
 
-(* A protocol call: dynamic (dispatched), direct, or removed. *)
-let protocol_call fr (a : Ir.ann) ~dispatched ~direct meta =
-  if a.Ir.removed then begin
-    (* the call is gone from the compiled code; keep the simulator's
-       bookkeeping consistent at zero cost *)
-    direct meta
-  end
-  else if a.Ir.direct then begin
-    charge fr call_overhead;
-    direct meta
-  end
-  else begin
-    charge fr call_overhead;
-    dispatched fr.ctx meta
-  end
+(* ---- expressions ---- *)
+
+let bool v = if v then 1. else 0.
+
+let rec cexpr sc (e : Ir.nexpr) : frame -> float =
+  match e with
+  | Ir.NNum v -> fun _ -> v
+  | Ir.NVar x ->
+      let i = slot sc x in
+      fun fr -> num_var fr x i
+  | Ir.NMe -> fun fr -> float_of_int (Ops.me fr.ctx)
+  | Ir.NNprocs -> fun fr -> float_of_int (Ops.nprocs fr.ctx)
+  | Ir.NSqrt e ->
+      let e = cexpr sc e in
+      fun fr ->
+        charge fr 30. (* software-assisted sqrt on the 33 MHz SPARC *);
+        sqrt (e fr)
+  | Ir.NMod (a, b) ->
+      let a = cexpr sc a and b = cexpr sc b in
+      fun fr ->
+        charge fr 8.;
+        let b = b fr in
+        if b = 0. then fail "mod by zero";
+        float_of_int (int_of_float (a fr) mod int_of_float b)
+  | Ir.NNot e ->
+      let e = cexpr sc e in
+      fun fr ->
+        charge fr op_cycles;
+        if e fr = 0. then 1. else 0.
+  | Ir.NIdx (a, i) ->
+      let ai = slot sc a and i = cexpr sc i in
+      fun fr ->
+        charge fr op_cycles;
+        let idx = int_of_float (i fr) in
+        (match lookup fr a ai with
+        | VNumArr arr ->
+            if idx < 0 || idx >= Array.length arr then
+              fail ("index out of bounds on " ^ a);
+            Array.unsafe_get arr idx
+        | _ -> fail (a ^ " is not a local array"))
+  | Ir.NBin (op, a, b) -> (
+      let a = cexpr sc a and b = cexpr sc b in
+      (* charge, then [a], then [b] *)
+      let bin f fr =
+        charge fr op_cycles;
+        let x = a fr in
+        f x (b fr)
+      in
+      let test p = bin (fun x y -> bool (p x y)) in
+      match op with
+      | Ast.Add -> bin ( +. )
+      | Ast.Sub -> bin ( -. )
+      | Ast.Mul -> bin ( *. )
+      | Ast.Div -> bin ( /. )
+      | Ast.Lt -> test (fun x y -> x < y)
+      | Ast.Le -> test (fun x y -> x <= y)
+      | Ast.Gt -> test (fun x y -> x > y)
+      | Ast.Ge -> test (fun x y -> x >= y)
+      | Ast.Eq -> test (fun x y -> x = y)
+      | Ast.Ne -> test (fun x y -> x <> y)
+      | Ast.And -> test (fun x y -> x <> 0. && y <> 0.)
+      | Ast.Or -> test (fun x y -> x <> 0. || y <> 0.))
+
+let crexpr sc (r : Ir.rexpr) : frame -> int =
+  match r with
+  | Ir.RVar x ->
+      let i = slot sc x in
+      fun fr ->
+        (match lookup fr x i with
+        | VReg rid -> rid
+        | _ -> fail (x ^ " is not a region"))
+  | Ir.RIdx (a, i) ->
+      let ai = slot sc a and i = cexpr sc i in
+      fun fr ->
+        let idx = int_of_float (i fr) in
+        (match lookup fr a ai with
+        | VRegArr arr ->
+            if idx < 0 || idx >= Array.length arr then
+              fail ("region index out of bounds on " ^ a);
+            let rid = arr.(idx) in
+            if rid < 0 then fail (a ^ " element unset");
+            rid
+        | _ -> fail (a ^ " is not a region array"))
+
+(* ---- protocol calls ---- *)
+
+let space_of fr (meta : Store.meta) =
+  Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space
 
 (* Direct variants bypass the space dispatch but still run the (single
-   known) protocol's handler and the access bookkeeping. *)
-let direct_start fr mode removed meta =
-  let sp = Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space in
-  let hook =
-    match mode with
-    | Ir.Read -> sp.Protocol.proto.Protocol.start_read
-    | Ir.Write -> sp.Protocol.proto.Protocol.start_write
-  in
-  if not removed then hook fr.ctx meta;
-  Blocks.begin_access fr.ctx.Protocol.bctx meta
-    ~write:(match mode with Ir.Read -> false | Ir.Write -> true)
+   known) protocol's handler and the access bookkeeping. The space is
+   looked up at call time: a changeproto may have swapped its protocol. *)
+let direct_start ~write ~removed fr meta =
+  let proto = (space_of fr meta).Protocol.proto in
+  if not removed then
+    (if write then proto.Protocol.start_write else proto.Protocol.start_read)
+      fr.ctx meta;
+  Blocks.begin_access fr.ctx.Protocol.bctx meta ~write
 
-let direct_end fr mode removed meta =
-  let sp = Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space in
-  let hook =
-    match mode with
-    | Ir.Read -> sp.Protocol.proto.Protocol.end_read
-    | Ir.Write -> sp.Protocol.proto.Protocol.end_write
-  in
-  if not removed then hook fr.ctx meta;
-  Blocks.end_access fr.ctx.Protocol.bctx meta
-    ~write:(match mode with Ir.Read -> false | Ir.Write -> true)
+let direct_end ~write ~removed fr meta =
+  let proto = (space_of fr meta).Protocol.proto in
+  if not removed then
+    (if write then proto.Protocol.end_write else proto.Protocol.end_read)
+      fr.ctx meta;
+  Blocks.end_access fr.ctx.Protocol.bctx meta ~write
 
-let rec exec fr (s : Ir.istmt) : unit =
+(* A protocol call on handle [t]: dynamic (dispatched), direct, or removed.
+   A removed call is gone from the compiled code; [direct] still keeps the
+   simulator's bookkeeping consistent, at zero cost. *)
+let protocol_call sc t (a : Ir.ann) ~dispatched ~direct =
+  let ti = slot sc t in
+  if a.Ir.removed then fun fr -> direct fr (mapped fr t ti)
+  else if a.Ir.direct then fun fr ->
+    let meta = mapped fr t ti in
+    charge fr call_overhead;
+    direct fr meta
+  else fun fr ->
+    let meta = mapped fr t ti in
+    charge fr call_overhead;
+    dispatched fr.ctx meta
+
+let direct_lock hook ~removed fr meta =
+  if not removed then hook (space_of fr meta).Protocol.proto fr.ctx meta
+
+(* ---- statements and functions ---- *)
+
+type cfunc = {
+  params : int array; (* slot of each parameter, in order *)
+  nslots : int;
+  body : frame -> unit;
+}
+
+(* A compiled call: fresh frame, parameters bound in order (a repeated
+   name keeps the last argument), [None] if the body falls off its end. *)
+let invoke ctx fname c (argv : value array) =
+  if Array.length c.params <> Array.length argv then
+    fail ("arity mismatch calling " ^ fname);
+  let fr = { ctx; vars = Array.make c.nslots Unbound } in
+  Array.iteri (fun k v -> set fr c.params.(k) v) argv;
+  match c.body fr with () -> None | exception Return_exc v -> v
+
+(* [resolve name] is the compiled form of the program's first function
+   called [name], or [None]; see [resolver]. *)
+let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
+  let cexpr = cexpr sc and cstmt = cstmt resolve sc in
   match s with
   | Ir.IDeclArr (x, n) ->
-      let n = int_of_float (eval fr n) in
-      Hashtbl.replace fr.vars x (VNumArr (Array.make (max n 0) 0.))
+      let xi = slot sc x and n = cexpr n in
+      fun fr ->
+        let n = int_of_float (n fr) in
+        set fr xi (VNumArr (Array.make (max n 0) 0.))
   | Ir.IDeclRegArr (x, n) ->
-      let n = int_of_float (eval fr n) in
-      Hashtbl.replace fr.vars x (VRegArr (Array.make (max n 0) (-1)))
+      let xi = slot sc x and n = cexpr n in
+      fun fr ->
+        let n = int_of_float (n fr) in
+        set fr xi (VRegArr (Array.make (max n 0) (-1)))
   | Ir.IAssign (x, e) ->
-      charge fr op_cycles;
-      Hashtbl.replace fr.vars x (VNum (eval fr e))
-  | Ir.IStoreLocal (a, i, e) -> (
-      charge fr op_cycles;
-      let idx = int_of_float (eval fr i) in
-      let v = eval fr e in
-      match lookup fr a with
-      | VNumArr arr ->
-          if idx < 0 || idx >= Array.length arr then
-            raise (Runtime_error ("index out of bounds on " ^ a));
-          arr.(idx) <- v
-      | _ -> raise (Runtime_error (a ^ " is not a local array")))
+      let xi = slot sc x and e = cexpr e in
+      fun fr ->
+        charge fr op_cycles;
+        set fr xi (VNum (e fr))
+  | Ir.IStoreLocal (a, i, e) ->
+      let ai = slot sc a and i = cexpr i and e = cexpr e in
+      fun fr ->
+        charge fr op_cycles;
+        let idx = int_of_float (i fr) in
+        let v = e fr in
+        (match lookup fr a ai with
+        | VNumArr arr ->
+            if idx < 0 || idx >= Array.length arr then
+              fail ("index out of bounds on " ^ a);
+            Array.unsafe_set arr idx v
+        | _ -> fail (a ^ " is not a local array"))
   | Ir.INewSpace (x, proto) ->
-      Hashtbl.replace fr.vars x (VSpace (Ops.new_space fr.ctx proto))
+      let xi = slot sc x in
+      fun fr -> set fr xi (VSpace (Ops.new_space fr.ctx proto))
   | Ir.IRegAssign (x, r) ->
-      charge fr op_cycles;
-      Hashtbl.replace fr.vars x (VReg (eval_rexpr fr r))
+      let xi = slot sc x and r = crexpr sc r in
+      fun fr ->
+        charge fr op_cycles;
+        set fr xi (VReg (r fr))
   | Ir.IGmalloc (x, s, n) ->
-      let sid = space_sid fr s in
-      let len = int_of_float (eval fr n) in
-      let h = Ops.alloc fr.ctx ~space:sid ~len in
-      Hashtbl.replace fr.vars x (VReg (Ops.rid h))
+      let xi = slot sc x and si = slot sc s and n = cexpr n in
+      fun fr ->
+        let sid = space_sid fr s si in
+        let len = int_of_float (n fr) in
+        let h = Ops.alloc fr.ctx ~space:sid ~len in
+        set fr xi (VReg (Ops.rid h))
   | Ir.IGlobalId (x, s, owner, k) ->
-      let sid = space_sid fr s in
-      let owner = int_of_float (eval fr owner) in
-      let seq = int_of_float (eval fr k) in
-      let rid = Ops.global_id fr.ctx ~space:sid ~owner ~seq in
-      Hashtbl.replace fr.vars x (VReg rid)
-  | Ir.IStoreReg (a, i, r) -> (
-      charge fr op_cycles;
-      let idx = int_of_float (eval fr i) in
-      let rid = eval_rexpr fr r in
-      match lookup fr a with
-      | VRegArr arr ->
-          if idx < 0 || idx >= Array.length arr then
-            raise (Runtime_error ("region index out of bounds on " ^ a));
-          arr.(idx) <- rid
-      | _ -> raise (Runtime_error (a ^ " is not a region array")))
+      let xi = slot sc x and si = slot sc s in
+      let owner = cexpr owner and k = cexpr k in
+      fun fr ->
+        let sid = space_sid fr s si in
+        let owner = int_of_float (owner fr) in
+        let seq = int_of_float (k fr) in
+        set fr xi (VReg (Ops.global_id fr.ctx ~space:sid ~owner ~seq))
+  | Ir.IStoreReg (a, i, r) ->
+      let ai = slot sc a and i = cexpr i and r = crexpr sc r in
+      fun fr ->
+        charge fr op_cycles;
+        let idx = int_of_float (i fr) in
+        let rid = r fr in
+        (match lookup fr a ai with
+        | VRegArr arr ->
+            if idx < 0 || idx >= Array.length arr then
+              fail ("region index out of bounds on " ^ a);
+            arr.(idx) <- rid
+        | _ -> fail (a ^ " is not a region array"))
   | Ir.IMap (t, r) ->
-      let rid = eval_rexpr fr r in
-      Hashtbl.replace fr.vars t (VMapped (Ops.map fr.ctx rid))
+      let ti = slot sc t and r = crexpr sc r in
+      fun fr ->
+        let rid = r fr in
+        set fr ti (VMapped (Ops.map fr.ctx rid))
   | Ir.IStart (mode, t, a) ->
-      let meta = mapped fr t in
-      protocol_call fr a
+      protocol_call sc t a
         ~dispatched:(match mode with Ir.Read -> Ops.start_read | Ir.Write -> Ops.start_write)
-        ~direct:(direct_start fr mode a.Ir.removed)
-        meta
+        ~direct:(direct_start ~write:(mode = Ir.Write) ~removed:a.Ir.removed)
   | Ir.IEnd (mode, t, a) ->
-      let meta = mapped fr t in
-      protocol_call fr a
+      protocol_call sc t a
         ~dispatched:(match mode with Ir.Read -> Ops.end_read | Ir.Write -> Ops.end_write)
-        ~direct:(direct_end fr mode a.Ir.removed)
-        meta
+        ~direct:(direct_end ~write:(mode = Ir.Write) ~removed:a.Ir.removed)
   | Ir.ILoadShared (x, t, i) ->
-      charge fr access_cycles;
-      let meta = mapped fr t in
-      let data = Ops.data fr.ctx meta in
-      let idx = int_of_float (eval fr i) in
-      if idx < 0 || idx >= Array.length data then
-        raise (Runtime_error "shared index out of bounds");
-      Hashtbl.replace fr.vars x (VNum data.(idx))
+      let xi = slot sc x and ti = slot sc t and i = cexpr i in
+      fun fr ->
+        charge fr access_cycles;
+        let meta = mapped fr t ti in
+        let data = Ops.data fr.ctx meta in
+        let idx = int_of_float (i fr) in
+        if idx < 0 || idx >= Array.length data then
+          fail "shared index out of bounds";
+        set fr xi (VNum (Array.unsafe_get data idx))
   | Ir.IStoreShared (t, i, e) ->
-      charge fr access_cycles;
-      let meta = mapped fr t in
-      let data = Ops.data fr.ctx meta in
-      let idx = int_of_float (eval fr i) in
-      let v = eval fr e in
-      if idx < 0 || idx >= Array.length data then
-        raise (Runtime_error "shared index out of bounds");
-      data.(idx) <- v
-  | Ir.ISeq l -> List.iter (exec fr) l
+      let ti = slot sc t and i = cexpr i and e = cexpr e in
+      fun fr ->
+        charge fr access_cycles;
+        let meta = mapped fr t ti in
+        let data = Ops.data fr.ctx meta in
+        let idx = int_of_float (i fr) in
+        let v = e fr in
+        if idx < 0 || idx >= Array.length data then
+          fail "shared index out of bounds";
+        Array.unsafe_set data idx v
+  | Ir.ISeq l -> (
+      match Array.of_list (List.map cstmt l) with
+      | [| s |] -> s
+      | ss ->
+          fun fr ->
+            for k = 0 to Array.length ss - 1 do
+              (Array.unsafe_get ss k) fr
+            done)
   | Ir.IIf (c, a, b) ->
-      charge fr op_cycles;
-      if eval fr c <> 0. then exec fr a else exec fr b
+      let c = cexpr c and a = cstmt a and b = cstmt b in
+      fun fr ->
+        charge fr op_cycles;
+        if c fr <> 0. then a fr else b fr
   | Ir.IWhile (c, body) ->
-      let rec go () =
-        charge fr op_cycles;
-        if eval fr c <> 0. then begin
-          exec fr body;
-          go ()
-        end
-      in
-      go ()
+      let c = cexpr c and body = cstmt body in
+      fun fr ->
+        while
+          charge fr op_cycles;
+          c fr <> 0.
+        do
+          body fr
+        done
   | Ir.IFor (i, lo, hi, step, body) ->
-      let lo = eval fr lo in
-      Hashtbl.replace fr.vars i (VNum lo);
-      let rec go () =
-        charge fr op_cycles;
-        let v = num (lookup fr i) in
-        if v < eval fr hi then begin
-          exec fr body;
-          Hashtbl.replace fr.vars i (VNum (num (lookup fr i) +. eval fr step));
-          go ()
-        end
-      in
-      go ()
-  | Ir.IBarrier s -> Ops.barrier fr.ctx ~space:(space_sid fr s)
+      let ii = slot sc i in
+      let lo = cexpr lo and hi = cexpr hi and step = cexpr step in
+      let body = cstmt body in
+      fun fr ->
+        set fr ii (VNum (lo fr));
+        while
+          charge fr op_cycles;
+          let v = num_var fr i ii in
+          v < hi fr
+        do
+          body fr;
+          let st = step fr in
+          set fr ii (VNum (num_var fr i ii +. st))
+        done
+  | Ir.IBarrier s ->
+      let si = slot sc s in
+      fun fr -> Ops.barrier fr.ctx ~space:(space_sid fr s si)
   | Ir.ILock (t, a) ->
-      let meta = mapped fr t in
-      protocol_call fr a ~dispatched:Ops.lock
-        ~direct:(fun meta ->
-          if not a.Ir.removed then
-            let sp =
-              Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space
-            in
-            sp.Protocol.proto.Protocol.lock fr.ctx meta)
-        meta
+      protocol_call sc t a ~dispatched:Ops.lock
+        ~direct:(direct_lock (fun p -> p.Protocol.lock) ~removed:a.Ir.removed)
   | Ir.IUnlock (t, a) ->
-      let meta = mapped fr t in
-      protocol_call fr a ~dispatched:Ops.unlock
-        ~direct:(fun meta ->
-          if not a.Ir.removed then
-            let sp =
-              Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space
-            in
-            sp.Protocol.proto.Protocol.unlock fr.ctx meta)
-        meta
+      protocol_call sc t a ~dispatched:Ops.unlock
+        ~direct:(direct_lock (fun p -> p.Protocol.unlock) ~removed:a.Ir.removed)
   | Ir.IChangeProto (s, proto) ->
-      Ops.change_protocol fr.ctx ~space:(space_sid fr s) proto
-  | Ir.IWork e -> Ops.work fr.ctx (eval fr e)
+      let si = slot sc s in
+      fun fr -> Ops.change_protocol fr.ctx ~space:(space_sid fr s si) proto
+  | Ir.IWork e ->
+      let e = cexpr e in
+      fun fr -> Ops.work fr.ctx (e fr)
   | Ir.ICallStmt (dst, f, args) -> (
-      let argv = List.map (fun a -> VNum (eval fr a)) args in
-      charge fr call_overhead;
-      let result = call fr.prog fr.ctx f argv in
-      match (dst, result) with
-      | Some x, Some v -> Hashtbl.replace fr.vars x v
-      | Some x, None -> Hashtbl.replace fr.vars x (VNum 0.)
-      | None, _ -> ())
-  | Ir.IReturn e ->
-      let v = match e with Some e -> Some (VNum (eval fr e)) | None -> None in
-      raise (Return_exc v)
+      let args = Array.of_list (List.map cexpr args) in
+      let callee = ref None in
+      let call fr =
+        let argv = Array.map (fun a -> VNum (a fr)) args in
+        charge fr call_overhead;
+        let c =
+          match !callee with
+          | Some c -> c
+          | None -> (
+              match resolve f with
+              | Some c ->
+                  callee := Some c;
+                  c
+              | None -> fail ("unknown function " ^ f))
+        in
+        invoke fr.ctx f c argv
+      in
+      match dst with
+      | None -> fun fr -> ignore (call fr)
+      | Some x ->
+          let xi = slot sc x in
+          fun fr ->
+            set fr xi (match call fr with Some v -> v | None -> VNum 0.))
+  | Ir.IReturn None -> fun _ -> raise (Return_exc None)
+  | Ir.IReturn (Some e) ->
+      let e = cexpr e in
+      fun fr -> raise (Return_exc (Some (VNum (e fr))))
 
-and call prog ctx fname argv : value option =
-  let f =
-    match List.find_opt (fun f -> f.Ir.fname = fname) prog with
-    | Some f -> f
-    | None -> raise (Runtime_error ("unknown function " ^ fname))
+let cfunc resolve (f : Ir.ifunc) =
+  let scope = { slots = Hashtbl.create 16; nslots = 0 } in
+  let params = Array.of_list (List.map (slot scope) f.Ir.params) in
+  let body = cstmt resolve scope f.Ir.body in
+  (* every slot is assigned while compiling, none while running *)
+  { params; nslots = scope.nslots; body }
+
+(* The program's lazily compiled function table; compiling never runs
+   simulated code, so no fiber can observe a half-built entry. *)
+let resolver (prog : Ir.iprogram) =
+  let compiled = Hashtbl.create 8 in
+  let rec resolve name =
+    match Hashtbl.find_opt compiled name with
+    | Some _ as c -> c
+    | None -> (
+        match List.find_opt (fun f -> f.Ir.fname = name) prog with
+        | None -> None
+        | Some f ->
+            let c = cfunc resolve f in
+            Hashtbl.replace compiled name c;
+            Some c)
   in
-  if List.length f.Ir.params <> List.length argv then
-    raise (Runtime_error ("arity mismatch calling " ^ fname));
-  let fr = { prog; ctx; vars = Hashtbl.create 32 } in
-  List.iter2 (fun p v -> Hashtbl.replace fr.vars p v) f.Ir.params argv;
-  match exec fr f.Ir.body with
-  | () -> None
-  | exception Return_exc v -> v
+  resolve
 
 (* Run [main] as the SPMD body on every simulated processor of [rt];
    returns node 0's numeric return value (nan if none). *)
 let run_spmd (rt : Protocol.runtime) (prog : Ir.iprogram) : float =
+  let resolve = resolver prog in
   let result = ref nan in
   Ace_runtime.Runtime.run rt (fun ctx ->
-      let r = call prog ctx "main" [] in
+      let r =
+        match resolve "main" with
+        | Some c -> invoke ctx "main" c [||]
+        | None -> fail "unknown function main"
+      in
       if Ops.me ctx = 0 then
         match r with Some (VNum v) -> result := v | Some _ | None -> ());
   !result

@@ -2,9 +2,12 @@
 
     Events are ordered by timestamp; ties are broken by a pluggable
     {!policy} (insertion order by default), so a simulation run is
-    bit-reproducible per policy. Implemented as a 4-ary implicit heap
-    over parallel arrays; the pop path is exceptionless and allocation-free
-    (results land in per-queue slots rather than an option). *)
+    bit-reproducible per policy. Implemented as a 4-ary heap of runs: a run
+    is a FIFO of events with one timestamp and increasing tie-break order,
+    so a push at the same time as the previous one is an O(1) append and
+    the heap moves only unboxed floats and ints. The pop path is
+    exceptionless and allocation-free (results land in per-queue slots
+    rather than an option). *)
 
 (** How same-timestamp events are ordered. A simulated machine does not
     define an order for simultaneous events, so every policy yields a legal
@@ -58,8 +61,9 @@ val popped_thunk : t -> unit -> unit
 
 (** [drain t f] pops every event in order, calling [f time thunk] for each.
     [f] may push further events; draining continues until the queue is
-    empty. On return the {!popped_thunk} slot is cleared, so the queue
-    retains no reference into the last event's closure graph. *)
+    empty. [drain] does not update {!popped_time}. On return the
+    {!popped_thunk} slot is cleared, so the queue retains no reference into
+    the last event's closure graph. *)
 val drain : t -> (float -> (unit -> unit) -> unit) -> unit
 
 val is_empty : t -> bool

@@ -137,6 +137,105 @@ let eq_model_property =
       if Eq.pop_min q then ok := false;
       !ok)
 
+(* Model-based test of the run queue under each tie-break policy: random
+   pushes, pops and drains over four timestamps, so ties and long same-time
+   runs are the common case. A drain pushes again from inside its callback
+   (re-entrantly, at any of the four times, including the one being
+   drained). The reference is a sorted list of (time, key, seq) with the
+   key each policy documents: 0 under Fifo; under Random one draw
+   [Det_rng.int (1 lsl 22)] per push, in push order, from the seeded
+   stream; under Rotate 1 iff [seq mod stride = offset]. So every pop is
+   checked against the exact documented order, not just timestamp order. *)
+type qop = Push of int | Pop | Drain of int list
+
+let qop_arb =
+  let open QCheck.Gen in
+  let gen =
+    frequency
+      [
+        (6, map (fun t -> Push t) (int_bound 3));
+        (3, return Pop);
+        (1, map (fun l -> Drain l) (list_size (int_bound 8) (int_bound 3)));
+      ]
+  in
+  let print = function
+    | Push t -> Printf.sprintf "Push %d" t
+    | Pop -> "Pop"
+    | Drain l -> "Drain [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  in
+  QCheck.make ~print gen
+
+let eq_policy_model policy =
+  QCheck.Test.make ~count:300
+    ~name:("queue model under " ^ Eq.policy_to_string policy)
+    (QCheck.list qop_arb)
+    (fun ops ->
+      let q = Eq.create ~policy () in
+      let rng = match policy with Eq.Random s -> Some (Rng.create s) | _ -> None in
+      let key seq =
+        match policy with
+        | Eq.Fifo -> 0
+        | Eq.Random _ -> Rng.int (Option.get rng) (1 lsl 22)
+        | Eq.Rotate { stride; offset } -> if seq mod stride = offset then 1 else 0
+      in
+      let model = ref [] (* sorted (time, key, seq) *) in
+      let next_seq = ref 0 in
+      let ran = ref (-1) (* seq of the last thunk run *) in
+      let push t =
+        let seq = !next_seq in
+        incr next_seq;
+        let entry = (float_of_int t, key seq, seq) in
+        Eq.push q ~time:(float_of_int t) (fun () -> ran := seq);
+        model := List.merge compare [ entry ] !model
+      in
+      (* the event at [time] whose thunk is [thunk] must be the model's head *)
+      let expect time thunk =
+        match !model with
+        | [] -> QCheck.Test.fail_report "queue popped past the model's end"
+        | (t, _, seq) :: rest ->
+            model := rest;
+            thunk ();
+            if time <> t || !ran <> seq then
+              QCheck.Test.fail_reportf "popped (%g, #%d), model says (%g, #%d)"
+                time !ran t seq
+      in
+      let drain children =
+        let children = ref children in
+        Eq.drain q (fun time thunk ->
+            expect time thunk;
+            match !children with
+            | t :: rest ->
+                children := rest;
+                push t
+            | [] -> ())
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push t -> push t
+          | Pop ->
+              if Eq.pop_min q then expect (Eq.popped_time q) (Eq.popped_thunk q)
+              else if !model <> [] then QCheck.Test.fail_report "pop_min on a non-empty queue failed"
+          | Drain children -> drain children);
+          if Eq.length q <> List.length !model then
+            QCheck.Test.fail_report "length differs from the model";
+          let head = match !model with (t, _, _) :: _ -> Some t | [] -> None in
+          if Eq.peek_time q <> head then
+            QCheck.Test.fail_report "peek_time differs from the model")
+        ops;
+      drain [];
+      !model = [] && Eq.is_empty q)
+
+let eq_policy_models =
+  List.map eq_policy_model
+    [
+      Eq.Fifo;
+      Eq.Random 1;
+      Eq.Random 42;
+      Eq.Rotate { stride = 2; offset = 0 };
+      Eq.Rotate { stride = 3; offset = 1 };
+    ]
+
 (* ---- ivar ---- *)
 
 let ivar_basics () =
@@ -472,7 +571,8 @@ let () =
           Alcotest.test_case "length/peek" `Quick eq_length_and_peek;
           QCheck_alcotest.to_alcotest eq_heap_property;
           QCheck_alcotest.to_alcotest eq_model_property;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest eq_policy_models );
       ( "ivar",
         [
           Alcotest.test_case "basics" `Quick ivar_basics;

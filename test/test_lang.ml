@@ -360,6 +360,66 @@ let interp_detects_errors () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unallocated globalid not caught"
 
+(* ---- interpreter identity ----
+
+   Simulated seconds and node 0's result for each Table 4 kernel at O0 and
+   O3 on 8 processors, as %.17g strings. Every interpreter charge is a
+   fiber yield, so a charge moved across a runtime call (a protocol call,
+   a map, a barrier) changes when that call happens and moves these
+   numbers, even though the sum of charges stays the same. *)
+let pinned_runs =
+  [
+    ("Barnes-Hut", "base", "0.0060981666666666667", "0.046697579231247628");
+    ("Barnes-Hut", "+LI+MC+DC", "0.0041419848484848488", "0.046697579211235962");
+    ("BSC", "base", "0.021185560606060607", "4.1230570318569741");
+    ("BSC", "+LI+MC+DC", "0.0040130606060606059", "4.1230570318569741");
+    ("EM3D", "base", "0.0042500000000000003", "-24.844101367865118");
+    ("EM3D", "+LI+MC+DC", "0.0034489696969696969", "-24.844101367865118");
+    ("TSP", "base", "0.015059742424242423", "897933");
+    ("TSP", "+LI+MC+DC", "0.014856984848484849", "897933");
+    ("WATER", "base", "0.0046298030303030301", "2.2993803913123316");
+    ("WATER", "+LI+MC+DC", "0.001791560606060606", "2.2993803913123316");
+  ]
+
+let interp_pinned_runs () =
+  List.iter
+    (fun (name, level, secs, result) ->
+      let src = List.assoc name L.Kernels.all in
+      let level =
+        List.find (fun l -> L.Opt.level_name l = level) [ L.Opt.O0; L.Opt.O3 ]
+      in
+      let s, r = Ace_harness.Table4.run_compiled ~nprocs:8 ~level src in
+      let label what = Printf.sprintf "%s %s %s" name (L.Opt.level_name level) what in
+      Alcotest.(check string) (label "simulated s") secs (Printf.sprintf "%.17g" s);
+      Alcotest.(check string) (label "result") result (Printf.sprintf "%.17g" r))
+    pinned_runs
+
+(* The exact messages, on IR built by hand so the type checker cannot
+   reject the program first. *)
+let interp_error_messages () =
+  let run prog =
+    let rt = Ace_runtime.Runtime.create ~nprocs:2 () in
+    Ace_protocols.Proto_lib.register_all rt;
+    ignore (L.Interp.run_spmd rt prog)
+  in
+  let main body = [ { L.Ir.fname = "main"; params = []; body = L.Ir.ISeq body } ] in
+  let raises msg prog =
+    Alcotest.check_raises msg (L.Interp.Runtime_error msg) (fun () -> run prog)
+  in
+  raises "unbound variable x" (main [ L.Ir.IAssign ("y", L.Ir.NVar "x") ]);
+  raises "unknown function nope" (main [ L.Ir.ICallStmt (None, "nope", []) ]);
+  raises "arity mismatch calling f"
+    ({ L.Ir.fname = "f"; params = [ "a" ]; body = L.Ir.ISeq [] }
+    :: main [ L.Ir.ICallStmt (None, "f", []) ]);
+  raises "mod by zero"
+    (main [ L.Ir.IAssign ("y", L.Ir.NMod (L.Ir.NNum 1., L.Ir.NNum 0.)) ]);
+  raises "r is not a local array"
+    (main
+       [
+         L.Ir.IDeclRegArr ("r", L.Ir.NNum 2.);
+         L.Ir.IAssign ("y", L.Ir.NIdx ("r", L.Ir.NNum 0.));
+       ])
+
 let () =
   Alcotest.run "acelang"
     [
@@ -408,5 +468,7 @@ let () =
           Alcotest.test_case "kernels agree across levels" `Slow
             kernels_agree_across_levels;
           Alcotest.test_case "runtime errors" `Quick interp_detects_errors;
+          Alcotest.test_case "pinned kernel runs" `Quick interp_pinned_runs;
+          Alcotest.test_case "error messages" `Quick interp_error_messages;
         ] );
     ]
