@@ -4,14 +4,16 @@
      ace_demo em3d --backend ace --protocol STATIC_UPDATE --procs 16
      ace_demo water --backend ace --phase-protocols NULL,PIPELINE
      ace_demo tsp --backend crl
+
+   Exit status: 0 on success, 1 when the simulation itself fails, 2 on bad
+   usage (an unknown option or protocol, an option value out of range, an
+   unwritable output file).
 *)
 
 open Cmdliner
 
 let run_app app backend nprocs protocol steps scale verbose trace dump_stats
     faults batch critpath =
-  if nprocs < 2 then
-    invalid_arg "ace_demo: --nprocs must be at least 2 (SPMD needs a peer)";
   let module D = Ace_harness.Driver in
   let crit =
     Option.map (fun _ -> Ace_engine.Crit.create ~nprocs ()) critpath
@@ -202,7 +204,9 @@ let protocol_arg =
     value
     & opt (some string) None
     & info [ "protocol" ]
-        ~doc:"Custom protocol name (e.g. STATIC_UPDATE, DYN_UPDATE, COUNTER).")
+        ~doc:
+          "Custom protocol name (e.g. STATIC_UPDATE, DYN_UPDATE, COUNTER); \
+           ignored on crl.")
 
 let phases_arg =
   Arg.(
@@ -212,10 +216,14 @@ let phases_arg =
         ~doc:"Water only: INTRA,INTER protocol pair (e.g. NULL,PIPELINE).")
 
 let steps_arg =
-  Arg.(value & opt int 5 & info [ "steps" ] ~doc:"Iterations (where applicable).")
+  Arg.(
+    value & opt int 5
+    & info [ "steps" ] ~doc:"Iterations, where applicable (at least 1).")
 
 let scale_arg =
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem size multiplier.")
+  Arg.(
+    value & opt int 1
+    & info [ "scale" ] ~doc:"Problem size multiplier (at least 1).")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the reference value.")
@@ -292,10 +300,65 @@ let critpath_arg =
            (analyze with acetrace critpath). Simulated times are \
            unaffected.")
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "ace_demo: %s\n" m;
+      2)
+    fmt
+
+(* The protocols a run can name: those Driver.run_ace registers. *)
+let protocol_names () =
+  let rt = Ace_runtime.Runtime.create ~nprocs:2 () in
+  Ace_protocols.Proto_lib.register_all rt;
+  Ace_combinator.Library.register_all rt;
+  List.map (fun p -> p.Ace_runtime.Protocol.name) (Ace_runtime.Runtime.protocols rt)
+
+(* The first out-of-range option value, as a usage message. *)
+let bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~outputs =
+  let known = lazy (protocol_names ()) in
+  let unknown = List.find_opt (fun p -> not (List.mem p (Lazy.force known))) protocols in
+  let unwritable =
+    List.find_map
+      (fun path ->
+        try
+          close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path);
+          None
+        with Sys_error m -> Some m)
+      outputs
+  in
+  if nprocs < 2 then Some (Printf.sprintf "--procs must be at least 2 (got %d)" nprocs)
+  else if steps < 1 then Some (Printf.sprintf "--steps must be at least 1 (got %d)" steps)
+  else if scale < 1 then Some (Printf.sprintf "--scale must be at least 1 (got %d)" scale)
+  else if drop < 0. || drop >= 1. then
+    Some (Printf.sprintf "--drop must be in [0, 1) (got %g)" drop)
+  else if dup < 0. || dup >= 1. then
+    Some (Printf.sprintf "--dup must be in [0, 1) (got %g)" dup)
+  else if jitter < 0. then
+    Some (Printf.sprintf "--jitter must be non-negative (got %g)" jitter)
+  else
+    match (unknown, unwritable) with
+    | Some p, _ ->
+        Some
+          (Printf.sprintf "unknown protocol %s (known: %s)" p
+             (String.concat " " (Lazy.force known)))
+    | None, Some m -> Some ("cannot write " ^ m)
+    | None, None -> None
+
 let cmd =
   let doc = "run an Ace/CRL benchmark on the simulated CM-5" in
+  let exits =
+    [
+      Cmd.Exit.info 0 ~doc:"on success.";
+      Cmd.Exit.info 1 ~doc:"when the simulation itself fails.";
+      Cmd.Exit.info 2
+        ~doc:
+          "on bad usage: an unknown option or protocol, an option value out \
+           of range, or an unwritable output file.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "ace_demo" ~doc)
+    (Cmd.info "ace_demo" ~doc ~exits)
     Term.(
       const (fun app backend nprocs protocol phases steps scale verbose trace
                  stats drop dup jitter fault_seed batch critpath ->
@@ -307,17 +370,50 @@ let cmd =
             | `Bsc -> `Bsc
             | `Tsp -> `Tsp
           in
-          let faults =
-            if drop > 0. || dup > 0. || jitter > 0. then
-              Some
-                (Ace_net.Faults.spec ~drop ~dup ~jitter ~seed:fault_seed ())
-            else None
+          let protocols =
+            match (backend, app) with
+            | `Crl, _ -> []
+            | `Ace, `Water (Some (intra, inter)) -> [ intra; inter ]
+            | `Ace, _ -> Option.to_list protocol
           in
-          run_app app backend nprocs protocol steps scale verbose trace stats
-            faults batch critpath)
+          let outputs = Option.to_list trace @ Option.to_list critpath in
+          match
+            bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~outputs
+          with
+          | Some m -> usage_error "%s" m
+          | None -> (
+              let faults =
+                if drop > 0. || dup > 0. || jitter > 0. then
+                  Some
+                    (Ace_net.Faults.spec ~drop ~dup ~jitter ~seed:fault_seed ())
+                else None
+              in
+              try
+                run_app app backend nprocs protocol steps scale verbose trace
+                  stats faults batch critpath
+              with Failure m | Invalid_argument m ->
+                Printf.eprintf "ace_demo: simulation failed: %s\n" m;
+                1))
       $ app_arg $ backend_arg $ procs_arg $ protocol_arg $ phases_arg
       $ steps_arg $ scale_arg $ verbose_arg $ trace_arg $ stats_arg
       $ drop_arg $ dup_arg $ jitter_arg $ fault_seed_arg $ batch_arg
       $ critpath_arg)
 
-let () = exit (Cmd.eval' cmd)
+(* Cmdliner's own parse errors (an unknown option, a non-integer value,
+   a negative number read as an option) are bad usage too: report their
+   first line and exit 2 rather than cmdliner's 124. *)
+let () =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  exit
+    (match Cmd.eval_value ~err cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> 0
+    | Error (`Parse | `Term) ->
+        Format.pp_print_flush err ();
+        prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+        2
+    | Error `Exn ->
+        Format.pp_print_flush err ();
+        prerr_string (Buffer.contents buf);
+        Cmd.Exit.internal_error)

@@ -164,6 +164,31 @@ let run_ace (type cfg) ?faults ?batch ?trace ?crit ?cost ?stats ?policy ?adapt
   Option.iter (fun f -> f (Machine.stats machine)) stats;
   out
 
+(* File-name slug for a row name: lowercase alphanumerics, runs of anything
+   else collapsed to one '-'. *)
+let slug name =
+  let b = Buffer.create (String.length name) in
+  String.iter
+    (fun c ->
+      match Char.lowercase_ascii c with
+      | ('a' .. 'z' | '0' .. '9') as c -> Buffer.add_char b c
+      | _ ->
+          if Buffer.length b > 0 && Buffer.nth b (Buffer.length b - 1) <> '-'
+          then Buffer.add_char b '-')
+    name;
+  let s = Buffer.contents b in
+  let n = String.length s in
+  if n > 0 && s.[n - 1] = '-' then String.sub s 0 (n - 1) else s
+
+(* One trace file per grid cell: DIR/FIG-ROW-SIDE.trace.json. Cells that
+   run several simulations (per-iteration pairs, the TSP average) overwrite
+   the file, leaving the trace of the last — largest — run. *)
+let trace_path trace_dir ~fig ~row ~side =
+  Option.map
+    (fun dir ->
+      Filename.concat dir (Printf.sprintf "%s-%s-%s.trace.json" fig (slug row) side))
+    trace_dir
+
 (* Per-iteration timing as in the paper ("average time per iteration ...
    discard the first iteration"): run once with a single step and once with
    [1 + iters] steps; the difference isolates the steady-state iterations,
