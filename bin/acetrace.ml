@@ -5,7 +5,11 @@
    statistics, from the Chrome trace-event JSON that `--trace` options
    write. `acetrace critpath DAG.json` prints critical-path blame and
    what-if latency predictions from the ace-critpath-v1 DAG that
-   `--critpath` options write. Times are simulated cycles. *)
+   `--critpath` options write. Times are simulated cycles.
+
+   Exit status: 0 on success, 2 on bad usage or an input file that is
+   missing, unreadable, empty or malformed (the contract acec, ace_demo
+   and acecheck --replay follow; acetrace has no other failure). *)
 
 module Trace_read = Ace_obs.Trace_read
 module Analyze = Ace_obs.Analyze
@@ -22,6 +26,12 @@ let subcommands =
   \  help | --help\n\
   \      this message"
 
+let exit_status =
+  "EXIT STATUS\n\
+  \  0   on success\n\
+  \  2   on bad usage, or an input file that is missing, unreadable,\n\
+  \      empty or malformed"
+
 let usage () =
   prerr_endline "usage: acetrace SUBCOMMAND [ARGS] (acetrace --help lists subcommands)";
   exit 2
@@ -30,6 +40,8 @@ let help () =
   print_endline "usage: acetrace SUBCOMMAND [ARGS]";
   print_endline "";
   print_endline subcommands;
+  print_endline "";
+  print_endline exit_status;
   exit 0
 
 (* ---- summary (trace-event files) ---- *)
@@ -78,10 +90,10 @@ let summary_cmd args =
     with
     | Sys_error msg ->
         Printf.eprintf "acetrace: %s\n" msg;
-        exit 1
+        exit 2
     | Ace_obs.Json.Parse_error msg | Failure msg ->
         Printf.eprintf "acetrace: %s: malformed trace (%s)\n" file msg;
-        exit 1
+        exit 2
   in
   let real = List.filter (fun e -> not (Trace_read.is_meta e)) evs in
   Printf.printf "%s: %d events, %d simulated procs\n" file (List.length real)
@@ -194,10 +206,10 @@ let critpath_cmd args =
     with
     | Sys_error msg ->
         Printf.eprintf "acetrace: %s\n" msg;
-        exit 1
+        exit 2
     | Ace_obs.Json.Parse_error msg | Failure msg ->
         Printf.eprintf "acetrace: %s: malformed critpath file (%s)\n" file msg;
-        exit 1
+        exit 2
   in
   let bp = Critpath.blamed_path dag in
   let total = Critpath.total_blame bp in

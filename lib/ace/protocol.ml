@@ -6,7 +6,8 @@
    (Ace_NewSpace / Ace_ChangeProtocol). The [has_*] flags mirror the
    registration script of Fig. 1: they tell the compiler which handlers are
    null so direct-dispatch can delete the calls, and [optimizable] gates the
-   optimization passes (§4.2). *)
+   optimization passes (§4.2). Records are built only by [Lang.compile],
+   which derives the flags from the protocol's spec. *)
 
 module Machine = Ace_engine.Machine
 module Store = Ace_region.Store
@@ -81,32 +82,7 @@ and protocol = {
   detach : ctx -> space -> unit;
 }
 
-
-let charge (ctx : ctx) cycles = Machine.advance ctx.proc cycles
-let cost (ctx : ctx) = ctx.rt.cost
-
 (* A registered null handler still costs its call unless the compiler's
    direct-dispatch pass deletes it (paper §4.2). *)
-let null_hook ctx _ = charge ctx (cost ctx).Ace_net.Cost_model.null_hook
-
-(* A skeleton whose every handler is null; protocols override the points
-   they care about (Fig. 1's registration lists exactly these points). *)
-let null_protocol =
-  {
-    name = "NULL";
-    optimizable = true;
-    has_start_read = false;
-    has_end_read = false;
-    has_start_write = false;
-    has_end_write = false;
-    start_read = null_hook;
-    end_read = null_hook;
-    start_write = null_hook;
-    end_write = null_hook;
-    barrier = null_hook;
-    lock = null_hook;
-    unlock = null_hook;
-    attach = null_hook;
-    detach = null_hook;
-  }
-
+let null_hook (ctx : ctx) _ =
+  Machine.advance ctx.proc ctx.rt.cost.Ace_net.Cost_model.null_hook

@@ -7,6 +7,9 @@ module Cost_model = Ace_net.Cost_model
 
 let sid_spaces = Ace_engine.Stats.intern "ace.spaces"
 
+(* SC and NULL, compiled once. *)
+let builtins = [ Lang.compile Lang.sc; Lang.compile Lang.null ]
+
 let create ?(cost = Cost_model.cm5_ace) ?policy ~nprocs () =
   let machine = Machine.create ?policy ~nprocs () in
   let am = Ace_net.Am.create machine cost in
@@ -32,8 +35,9 @@ let create ?(cost = Cost_model.cm5_ace) ?policy ~nprocs () =
       adapt = Protocol.Adapt_none;
     }
   in
-  Hashtbl.add rt.Protocol.registry "SC" Proto_sc.protocol;
-  Hashtbl.add rt.Protocol.registry "NULL" Proto_null.protocol;
+  List.iter
+    (fun p -> Hashtbl.add rt.Protocol.registry p.Protocol.name p)
+    builtins;
   rt
 
 let machine (rt : Protocol.runtime) = rt.Protocol.machine
@@ -57,41 +61,6 @@ let find_protocol (rt : Protocol.runtime) name =
 let protocols (rt : Protocol.runtime) =
   Hashtbl.fold (fun _ p acc -> p :: acc) rt.Protocol.registry []
   |> List.sort (fun a b -> String.compare a.Protocol.name b.Protocol.name)
-
-(* has_*-flag consistency lint: a registered flag must match whether the
-   handler really is the (physically shared) null hook, because the
-   direct-dispatch deletion pass trusts the flags. The dangerous direction
-   is a live handler declared null — dispatch deletion would skip it —
-   which is legitimate only for purely observational handlers (WRITE_ONCE's
-   home-only assertion); callers allowlist those as (protocol, hook)
-   pairs. The barrier/lock/unlock/attach/detach hooks have no declared
-   flags (the registry derives them physically), so only the four access
-   points are linted. *)
-let lint_flags ?(allow = []) (rt : Protocol.runtime) =
-  let problems = ref [] in
-  let check (p : Protocol.protocol) hook handler flag =
-    let live = handler != Protocol.null_hook in
-    if flag && not live then
-      problems :=
-        Printf.sprintf "%s.%s: has_%s is true but the handler is null"
-          p.Protocol.name hook hook
-        :: !problems
-    else if (live && not flag) && not (List.mem (p.Protocol.name, hook) allow)
-    then
-      problems :=
-        Printf.sprintf
-          "%s.%s: live handler declared null (direct dispatch would skip it)"
-          p.Protocol.name hook
-        :: !problems
-  in
-  List.iter
-    (fun (p : Protocol.protocol) ->
-      check p "start_read" p.Protocol.start_read p.Protocol.has_start_read;
-      check p "end_read" p.Protocol.end_read p.Protocol.has_end_read;
-      check p "start_write" p.Protocol.start_write p.Protocol.has_start_write;
-      check p "end_write" p.Protocol.end_write p.Protocol.has_end_write)
-    (protocols rt);
-  List.rev !problems
 
 (* Ace_NewSpace: create a space bound to a protocol. Usable before the
    simulation starts (experiment setup) or collectively from SPMD code via

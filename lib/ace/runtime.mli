@@ -40,17 +40,6 @@ val find_protocol : Protocol.runtime -> string -> Protocol.protocol
 (** All registered protocols, sorted by name. *)
 val protocols : Protocol.runtime -> Protocol.protocol list
 
-(** Check every registered protocol's [has_*] access flags against its
-    handlers: a flag is inconsistent when it is true but the handler is
-    the shared null hook, or when a live handler is declared null (so
-    direct-dispatch deletion would skip it). The latter is legitimate
-    only for purely observational handlers; pass those as
-    [(protocol_name, hook_name)] pairs in [allow] (hook names:
-    ["start_read"], ["end_read"], ["start_write"], ["end_write"]).
-    Returns human-readable problem descriptions; [[]] means clean. *)
-val lint_flags :
-  ?allow:(string * string) list -> Protocol.runtime -> string list
-
 (** Ace_NewSpace before the simulation starts (experiment setup); from SPMD
     code use {!Ops.new_space}. *)
 val new_space : Protocol.runtime -> string -> Protocol.space

@@ -317,7 +317,7 @@ let rec admits f = function
       | None -> false)
 
 (* Auto-enroll every combinator-library protocol (and its broken canary)
-   under the contract of the hand-written protocol it re-expresses. *)
+   under the contract of the protocol named by its [admits_like]. *)
 let () =
   List.iter
     (fun (e : Ace_combinator.Library.entry) ->

@@ -12,7 +12,6 @@ module Event_queue = Ace_engine.Event_queue
 module Machine = Ace_engine.Machine
 module Stats = Ace_engine.Stats
 module Faults = Ace_net.Faults
-module Cost_model = Ace_net.Cost_model
 
 (* A deliberately broken protocol for exercising the kit itself: dynamic
    update with the propagation dropped on the floor. A non-home writer
@@ -20,13 +19,12 @@ module Cost_model = Ace_net.Cost_model
    stale, which the differential heap check (and, mid-run, the oracle)
    must catch. Registered only on request — never by default. *)
 let broken_protocol =
-  {
-    Ace_protocols.Proto_dyn_update.protocol with
-    Protocol.name = "BROKEN_DYN_UPDATE";
-    end_write =
-      (fun ctx _meta ->
-        Protocol.charge ctx (Protocol.cost ctx).Cost_model.end_op);
-  }
+  Ace_runtime.Lang.(
+    compile
+      {
+        (with_name "BROKEN_DYN_UPDATE" Ace_protocols.Proto_lib.dyn_update) with
+        end_write = [ Charge End_op ];
+      })
 
 (* One cell of the conformance grid. [proto] is a registered protocol
    name, or "CRL" for the fixed-protocol baseline backend. [engine] is

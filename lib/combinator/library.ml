@@ -1,91 +1,51 @@
-(* The combinator-built protocol library. Three of the hand-written
-   protocols (SC, WRITE_ONCE, MIGRATORY) are re-expressed as specs and
-   must stay bit-identical to the originals on the full benchmark grid
-   (bench `combinator` enforces this); two more exercise the layers. Every
+(* The combinator library: names under which the conformance kit fuzzes
+   protocol specs, and the layered protocols. DSL_SC, DSL_WRITE_ONCE and
+   DSL_MIGRATORY are the very specs of SC, WRITE_ONCE and MIGRATORY under a
+   second name; DSL_WC_UPDATE and DSL_SC_STATS exercise the layers. Every
    entry is auto-enrolled in the conformance kit: [admits_like] names the
-   hand-written protocol whose program-admissibility rule it inherits, and
-   lib/check registers that alias with [Prog.register_admits_like], so
-   `acecheck` fuzzes DSL protocols exactly like built-in ones. *)
+   protocol whose program-admissibility rule it inherits, and lib/check
+   registers that alias with [Prog.register_admits_like], so `acecheck`
+   fuzzes these protocols exactly like built-in ones. *)
 
 module Protocol = Ace_runtime.Protocol
 module Runtime = Ace_runtime.Runtime
+module Lang = Ace_runtime.Lang
+module Proto_lib = Ace_protocols.Proto_lib
 
 type entry = {
-  spec : Lang.spec;
   proto : Protocol.protocol;
   admits_like : string;
-      (* built-in protocol whose admissibility rule this one inherits *)
+      (* protocol whose admissibility rule this one inherits *)
 }
 
-let entry ?admits_like spec =
-  let admits_like =
-    (* default: the spec is a re-expression of a built-in, named DSL_<X> *)
-    match admits_like with
-    | Some n -> n
-    | None ->
-        let n = spec.Lang.name in
-        let prefix = "DSL_" in
-        assert (String.length n > String.length prefix);
-        String.sub n (String.length prefix)
-          (String.length n - String.length prefix)
-  in
-  { spec; proto = Lang.compile spec; admits_like }
+let entry ~admits_like spec = { proto = Lang.compile spec; admits_like }
 
-open Lang
+(* [spec] under the name DSL_<name>. *)
+let alias spec =
+  entry ~admits_like:spec.Lang.name
+    (Lang.with_name ("DSL_" ^ spec.Lang.name) spec)
 
-(* SC as a term: the default invalidation protocol, hook for hook. *)
-let sc_spec =
-  define "DSL_SC" ~optimizable:false
-    ~start_read:[ Charge Start_hit; Fetch_shared ]
-    ~end_read:[ Charge End_op ]
-    ~start_write:[ Charge Start_hit; Fetch_exclusive ]
-    ~end_write:[ Charge End_op ]
-    ~lock:[ Charge Lock_base; Home_lock ]
-    ~unlock:[ Charge Lock_base; Home_unlock ]
-    ~detach:[ Flush_space ]
-
-let sc = entry sc_spec
-
-(* WRITE_ONCE as a term: null write side (direct dispatch deletes the
-   calls), with the home-only assertion kept as an unregistered hook. *)
-let write_once =
-  entry
-    (define "DSL_WRITE_ONCE" ~optimizable:true
-       ~start_read:[ Charge Start_hit; Fetch_shared ]
-       ~start_write:[ Assert_home ]
-       ~unregistered:[ Start_write ]
-       ~lock:[ Charge Lock_base; Home_lock ]
-       ~unlock:[ Charge Lock_base; Home_unlock ]
-       ~detach:[ Flush_space ])
-
-(* MIGRATORY as a term: reads migrate ownership too. *)
-let migratory =
-  entry
-    (define "DSL_MIGRATORY" ~optimizable:false
-       ~start_read:[ Charge Start_hit; Fetch_exclusive ]
-       ~start_write:[ Charge Start_hit; Fetch_exclusive ]
-       ~lock:[ Charge Lock_base; Home_lock ]
-       ~unlock:[ Charge Lock_base; Home_unlock ]
-       ~detach:[ Flush_space ])
+let sc = alias Lang.sc
+let write_once = alias Proto_lib.write_once
+let migratory = alias Proto_lib.migratory
 
 (* An update-style base (single writer pushes values to sharers), wrapped
    in the write-combining layer: pushes defer to barrier/unlock/detach. *)
 let wc_update =
   entry ~admits_like:"DYN_UPDATE"
-    (write_combining
-       (define "DSL_WC_UPDATE" ~optimizable:true
-          ~start_read:[ Charge Start_hit; Fetch_shared ]
-          ~start_write:[ Charge Start_hit; Fetch_shared ]
-          ~end_write:[ Push_update ]
-          ~lock:[ Charge Lock_base; Home_lock ]
-          ~unlock:[ Charge Lock_base; Home_unlock ]
-          ~detach:[ Flush_space ]))
+    Lang.(
+      write_combining
+        (define "DSL_WC_UPDATE" ~optimizable:true
+           ~start_read:[ Charge Start_hit; Fetch_shared ]
+           ~start_write:[ Charge Start_hit; Fetch_shared ]
+           ~end_write:[ Push_update ] ~lock:sc_lock ~unlock:sc_unlock
+           ~detach:[ Flush_space ]))
 
 (* SC under the counting layer: bit-identical simulated output to SC, plus
    comb.dsl_sc_stats.* observation counters. *)
 let sc_stats =
   entry ~admits_like:"SC"
-    (with_name "DSL_SC_STATS" (counting ~prefix:"comb.dsl_sc_stats" sc_spec))
+    Lang.(with_name "DSL_SC_STATS" (counting ~prefix:"comb.dsl_sc_stats" sc))
 
 (* The canary: SC whose start_write only fetches a *shared* copy, so
    writes land in a local copy that is never invalidated out of other
@@ -94,14 +54,11 @@ let sc_stats =
    style self-tests. *)
 let broken =
   entry ~admits_like:"SC"
-    (define "DSL_BROKEN_SC" ~optimizable:false
-       ~start_read:[ Charge Start_hit; Fetch_shared ]
-       ~end_read:[ Charge End_op ]
-       ~start_write:[ Charge Start_hit; Fetch_shared ]
-       ~end_write:[ Charge End_op ]
-       ~lock:[ Charge Lock_base; Home_lock ]
-       ~unlock:[ Charge Lock_base; Home_unlock ]
-       ~detach:[ Flush_space ])
+    Lang.
+      {
+        (with_name "DSL_BROKEN_SC" sc) with
+        start_write = [ Charge Start_hit; Fetch_shared ];
+      }
 
 let all = [ sc; write_once; migratory; wc_update; sc_stats ]
 let names = List.map (fun e -> e.proto.Protocol.name) all

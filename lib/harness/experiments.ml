@@ -304,29 +304,21 @@ let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
          (b.label, b.iterative, side None "sc", side (Some b.custom) "custom"))
        benches)
 
-(* Combinator-compiler identity grid: each row runs one benchmark under a
-   hand-written protocol and under its combinator-built re-expression, and
-   must be bit-identical (simulated seconds, checksum, physical messages).
-   Both sides pin the protocol via the app's override (a collective
-   Ace_ChangeProtocol), so the SC rows pay the same switch storm on both
-   sides and the comparison is symmetric. *)
-let combinator_grid =
-  [
-    ("EM3D", "SC"); ("Barnes-Hut", "SC"); ("Water", "SC"); ("BSC", "SC");
-    ("TSP", "SC"); ("EM3D", "MIGRATORY"); ("Barnes-Hut", "MIGRATORY");
-    ("Water", "MIGRATORY"); ("BSC", "WRITE_ONCE");
-  ]
-
+(* Layer-transparency grid: each row runs one benchmark under SC and under
+   SC wrapped in the counting layer (DSL_SC_STATS), which must be
+   bit-identical (simulated seconds, checksum, physical messages). Both
+   sides pin the protocol via the app's override (a collective
+   Ace_ChangeProtocol), so both pay the same switch storm and the
+   comparison is symmetric. *)
 let combinator ?(scale = default_scale) ?jobs ?faults ?batch () =
   paired ?jobs
     (List.map
-       (fun (name, p) ->
-         let (Bench b as bn) = bench name in
+       (fun (Bench b as bn) ->
          let side protocol ~stats =
            paper_time ~protocol ?faults ?batch ~stats scale bn
          in
-         (name ^ " / " ^ p, b.iterative, side p, side ("DSL_" ^ p)))
-       combinator_grid)
+         (b.name, b.iterative, side "SC", side "DSL_SC_STATS"))
+       benches)
 
 let print_rows ~left ~right rows =
   Printf.printf "%-26s %12s %12s %9s  %s\n" "benchmark" left right "speedup"
@@ -1149,26 +1141,28 @@ let critpath_overhead_checks _ rows =
     wall_bound "critpath_overhead/wall" ~off ~on;
   ]
 
-(* {2 Combinator-built protocols vs hand-written originals}
+(* {2 Combinator layers are transparent}
 
-   The identity grid above, then EM3D's wall under hand SC vs DSL_SC: the
-   simulated output is identical, so any wall gap is compiled-dispatch
-   cost. *)
+   The identity grid above, then EM3D's wall under SC vs DSL_SC_STATS: the
+   simulated output is identical, so any wall gap is the cost of the
+   layer's extra compiled steps. *)
 let run_combinator o =
-  header "Combinator-built protocols vs hand-written originals (%d procs)\n"
+  header "Combinator layers: SC vs SC under the counting layer (%d procs)\n"
     o.scale.nprocs;
   let rows =
     combinator ~scale:o.scale ?jobs:o.jobs ?faults:o.faults ?batch:(batch o) ()
   in
-  print_rows ~left:"hand" ~right:"DSL" rows;
-  let hand, wall_hand = best_of_3 (fun () -> em3d ~protocol:"SC" o) in
-  let dsl, wall_dsl = best_of_3 (fun () -> em3d ~protocol:"DSL_SC" o) in
+  print_rows ~left:"SC" ~right:"counting" rows;
+  let plain, wall_plain = best_of_3 (fun () -> em3d ~protocol:"SC" o) in
+  let layered, wall_layered =
+    best_of_3 (fun () -> em3d ~protocol:"DSL_SC_STATS" o)
+  in
   Printf.printf
-    "dispatch overhead (EM3D): hand SC %.3fs wall, DSL_SC %.3fs wall \
+    "dispatch overhead (EM3D): SC %.3fs wall, DSL_SC_STATS %.3fs wall \
      (%+.1f%%); simulated seconds identical: %b\n\n"
-    wall_hand wall_dsl
-    (pct ~off:wall_hand ~on:wall_dsl)
-    (hand.Driver.seconds = dsl.Driver.seconds);
+    wall_plain wall_layered
+    (pct ~off:wall_plain ~on:wall_layered)
+    (plain.Driver.seconds = layered.Driver.seconds);
   let row = R.row ~experiment:"combinator" in
   List.map
     (fun r ->
@@ -1176,28 +1170,30 @@ let run_combinator o =
         r.baseline = r.ace && r.base_result = r.ace_result && r.base_msgs = r.ace_msgs
       in
       row ~name:r.name ~wall:r.wall
-        ~messages:[ ("hand", r.base_msgs); ("dsl", r.ace_msgs) ]
-        [ ("hand", r.baseline); ("dsl", r.ace); ("identical", if identical then 1. else 0.) ])
+        ~messages:[ ("plain", r.base_msgs); ("layered", r.ace_msgs) ]
+        [ ("plain", r.baseline); ("layered", r.ace); ("identical", if identical then 1. else 0.) ])
     rows
   @ [
-      row ~name:"dispatch-em3d-hand" ~wall:wall_hand [ ("seconds", hand.Driver.seconds) ];
-      row ~name:"dispatch-em3d-dsl" ~wall:wall_dsl [ ("seconds", dsl.Driver.seconds) ];
+      row ~name:"dispatch-em3d-plain" ~wall:wall_plain [ ("seconds", plain.Driver.seconds) ];
+      row ~name:"dispatch-em3d-layered" ~wall:wall_layered
+        [ ("seconds", layered.Driver.seconds) ];
     ]
 
 let combinator_checks _ rows =
-  let hand = R.find rows "dispatch-em3d-hand" and dsl = R.find rows "dispatch-em3d-dsl" in
+  let plain = R.find rows "dispatch-em3d-plain"
+  and layered = R.find rows "dispatch-em3d-layered" in
   List.filter_map
     (fun r ->
       if List.mem_assoc "identical" r.R.sim then
         Some
           (R.check ("combinator/" ^ r.R.name) (R.sim r "identical" = 1.)
-             "hand %.17g s, DSL %.17g s; %.0f vs %.0f messages" (R.sim r "hand")
-             (R.sim r "dsl") (R.msgs r "hand") (R.msgs r "dsl"))
+             "SC %.17g s, layered %.17g s; %.0f vs %.0f messages" (R.sim r "plain")
+             (R.sim r "layered") (R.msgs r "plain") (R.msgs r "layered"))
       else None)
     rows
   @ [
-      same_seconds "combinator/dispatch-identity" hand dsl;
-      wall_bound "combinator/dispatch-wall" ~off:hand ~on:dsl;
+      same_seconds "combinator/dispatch-identity" plain layered;
+      wall_bound "combinator/dispatch-wall" ~off:plain ~on:layered;
     ]
 
 (* {2 The registry}

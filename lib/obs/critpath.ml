@@ -172,14 +172,22 @@ let of_json j =
   if Array.length heads <> nprocs then
     failwith "critpath: heads length does not match nprocs";
   Array.iter
-    (fun h -> if h >= n then failwith "critpath: head out of range")
+    (fun h -> if h < -1 || h >= n then failwith "critpath: head out of range")
     heads;
+  let km = kind_id d "msg" in
   Array.iteri
     (fun i p ->
-      if p >= i || d.pred2.(i) >= i then
+      (* -1 is "no predecessor"; anything else must be an earlier node *)
+      let edge e = e < -1 || e >= i in
+      if edge p || edge d.pred2.(i) then
         failwith (Printf.sprintf "critpath: node %d has a non-causal edge" i);
       if d.kind.(i) < 0 || d.kind.(i) >= Array.length kinds then
-        failwith (Printf.sprintf "critpath: node %d has unknown kind" i))
+        failwith (Printf.sprintf "critpath: node %d has unknown kind" i);
+      let proc x = x >= 0 && x < nprocs in
+      if d.kind.(i) = km && not (proc d.a.(i) && proc d.b.(i)) then
+        failwith
+          (Printf.sprintf "critpath: message node %d has an endpoint outside 0..%d"
+             i (nprocs - 1)))
     d.pred;
   d
 

@@ -31,8 +31,11 @@ val kind_id : dag -> string -> int
 (** Snapshot a live recorder. *)
 val of_crit : Ace_engine.Crit.t -> dag
 
-(** Parse an ace-critpath-v1 document. Raises [Failure] on wrong schema or
-    malformed structure, [Json.Parse_error] on malformed JSON. *)
+(** Parse an ace-critpath-v1 document. Raises [Failure] (message prefix
+    ["critpath: "]) on wrong schema, malformed structure or an index out
+    of range — a predecessor below -1 or not an earlier node, a head
+    outside [-1, nodes), a message endpoint outside [0, nprocs) — and
+    [Json.Parse_error] on malformed JSON. *)
 val of_json : Json.t -> dag
 
 val of_string : string -> dag

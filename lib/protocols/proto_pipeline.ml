@@ -24,6 +24,7 @@
    the write and the release pipelined. *)
 
 module Protocol = Ace_runtime.Protocol
+module Lang = Ace_runtime.Lang
 module Blocks = Ace_region.Blocks
 module Store = Ace_region.Store
 module Machine = Ace_engine.Machine
@@ -51,20 +52,8 @@ let state (ctx : Protocol.ctx) (sp : Protocol.space) =
       sp.Protocol.pstate.(node) <- Pipe s;
       s
 
-let space_of (ctx : Protocol.ctx) meta =
-  ctx.Protocol.rt.Protocol.spaces.(meta.Store.space)
-
-let start_read (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.start_hit;
-  Blocks.fetch_shared ctx.Protocol.bctx meta
-
-let start_write (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.start_hit;
-  Blocks.fetch_shared ctx.Protocol.bctx meta
-
 let end_write (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.end_op;
-  let s = state ctx (space_of ctx meta) in
+  let s = state ctx (Lang.space_of ctx meta) in
   let bctx = ctx.Protocol.bctx in
   (* Bulk-transfer mode write-combines the pipelined update: it parks in
      the queue and rides the next lock request (or a blocking leg / the
@@ -81,13 +70,10 @@ let end_write (ctx : Protocol.ctx) meta =
 
 (* The grant carries the freshly accumulated master, so the critical
    section's read and write hit locally: lock + value in one round trip. *)
-let lock (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.lock_base;
-  Blocks.lock_fetch ctx.Protocol.bctx meta
+let lock_fetch (ctx : Protocol.ctx) meta = Blocks.lock_fetch ctx.Protocol.bctx meta
 
 let unlock (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.lock_base;
-  let s = state ctx (space_of ctx meta) in
+  let s = state ctx (Lang.space_of ctx meta) in
   match Hashtbl.find_opt s.last_push meta.Store.rid with
   | Some iv when not (Ivar.is_filled iv) ->
       (* combined update+release: the home unlocks when the data lands *)
@@ -119,30 +105,19 @@ let barrier (ctx : Protocol.ctx) (sp : Protocol.space) =
    paying a read miss per molecule. Harmless for correctness: any value
    accumulated later arrives via the lock grant ([lock_fetch]). *)
 let attach (ctx : Protocol.ctx) (sp : Protocol.space) =
-  Protocol.null_hook ctx sp;
   let bctx = ctx.Protocol.bctx in
   if Ace_net.Reliable.batching bctx.Blocks.net then
     Blocks.fetch_shared_batch bctx
       (List.map (Store.get ctx.Protocol.rt.Protocol.store) sp.Protocol.rids)
 
-let detach (ctx : Protocol.ctx) (sp : Protocol.space) =
-  barrier ctx sp;
-  Ace_runtime.Proto_sc.detach ctx sp
-
-let protocol =
-  {
-    Protocol.null_protocol with
-    Protocol.name = "PIPELINE";
-    optimizable = true;
-    has_start_read = true;
-    has_start_write = true;
-    has_end_write = true;
-    start_read;
-    start_write;
-    end_write;
-    lock;
-    unlock;
-    barrier;
-    attach;
-    detach;
-  }
+let spec =
+  Lang.(
+    define "PIPELINE" ~optimizable:true
+      ~start_read:[ Charge Start_hit; Fetch_shared ]
+      ~start_write:[ Charge Start_hit; Fetch_shared ]
+      ~end_write:[ Charge End_op; Call end_write ]
+      ~lock:[ Charge Lock_base; Call lock_fetch ]
+      ~unlock:[ Charge Lock_base; Call unlock ]
+      ~barrier:[ Call barrier ]
+      ~attach:[ Charge Null_hook; Call attach ]
+      ~detach:[ Call barrier; Flush_space ])

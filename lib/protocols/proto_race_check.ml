@@ -9,7 +9,7 @@
    simulator it is a table shared by all per-node pstate slots. *)
 
 module Protocol = Ace_runtime.Protocol
-module Blocks = Ace_region.Blocks
+module Lang = Ace_runtime.Lang
 module Store = Ace_region.Store
 module Machine = Ace_engine.Machine
 
@@ -61,11 +61,8 @@ let shared (sp : Protocol.space) =
       sp.Protocol.pstate.(0) <- Race s;
       s
 
-let space_of (ctx : Protocol.ctx) meta =
-  ctx.Protocol.rt.Protocol.spaces.(meta.Store.space)
-
 let record (ctx : Protocol.ctx) meta ~writer =
-  let s = shared (space_of ctx meta) in
+  let s = shared (Lang.space_of ctx meta) in
   let node = ctx.Protocol.proc.Machine.id in
   let locked = Hashtbl.mem s.holding (node, meta.Store.rid) in
   let prev =
@@ -76,23 +73,18 @@ let record (ctx : Protocol.ctx) meta ~writer =
   Hashtbl.replace s.accesses meta.Store.rid
     ({ node; writer; locked; seq } :: prev)
 
-let start_read (ctx : Protocol.ctx) meta =
-  Blocks.fetch_shared ctx.Protocol.bctx meta;
-  record ctx meta ~writer:false
+(* The access hooks log after the SC fetch; lock and unlock track which
+   region locks each node holds. *)
+let read (ctx : Protocol.ctx) meta = record ctx meta ~writer:false
+let write (ctx : Protocol.ctx) meta = record ctx meta ~writer:true
 
-let start_write (ctx : Protocol.ctx) meta =
-  Blocks.fetch_exclusive ctx.Protocol.bctx meta;
-  record ctx meta ~writer:true
-
-let lock (ctx : Protocol.ctx) meta =
-  Ace_runtime.Proto_sc.lock ctx meta;
-  let s = shared (space_of ctx meta) in
+let hold (ctx : Protocol.ctx) meta =
+  let s = shared (Lang.space_of ctx meta) in
   Hashtbl.replace s.holding (ctx.Protocol.proc.Machine.id, meta.Store.rid) ()
 
-let unlock (ctx : Protocol.ctx) meta =
-  let s = shared (space_of ctx meta) in
-  Hashtbl.remove s.holding (ctx.Protocol.proc.Machine.id, meta.Store.rid);
-  Ace_runtime.Proto_sc.unlock ctx meta
+let release (ctx : Protocol.ctx) meta =
+  let s = shared (Lang.space_of ctx meta) in
+  Hashtbl.remove s.holding (ctx.Protocol.proc.Machine.id, meta.Store.rid)
 
 (* An epoch has a race on a region iff some unlocked access conflicts with
    an access from a different node (write/any or any/write). The reported
@@ -151,17 +143,12 @@ let barrier (ctx : Protocol.ctx) (sp : Protocol.space) =
    race materialized). *)
 let reports (sp : Protocol.space) = List.rev (shared sp).reports
 
-let protocol =
-  {
-    Protocol.null_protocol with
-    Protocol.name = "RACE_CHECK";
-    optimizable = false;
-    has_start_read = true;
-    has_start_write = true;
-    start_read;
-    start_write;
-    barrier;
-    lock;
-    unlock;
-    detach = Ace_runtime.Proto_sc.detach;
-  }
+let spec =
+  Lang.(
+    define "RACE_CHECK" ~optimizable:false
+      ~start_read:[ Fetch_shared; Call read ]
+      ~start_write:[ Fetch_exclusive; Call write ]
+      ~barrier:[ Call barrier ]
+      ~lock:(sc_lock @ [ Call hold ])
+      ~unlock:(Call release :: sc_unlock)
+      ~detach:[ Flush_space ])

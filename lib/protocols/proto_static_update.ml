@@ -10,10 +10,10 @@
    barrier handler routine automatically"). *)
 
 module Protocol = Ace_runtime.Protocol
+module Lang = Ace_runtime.Lang
 module Blocks = Ace_region.Blocks
 module Store = Ace_region.Store
 module Machine = Ace_engine.Machine
-module Ivar = Ace_engine.Ivar
 
 type static_state = {
   mutable learning : int; (* barriers left in the learning window *)
@@ -43,19 +43,9 @@ let state (ctx : Protocol.ctx) (sp : Protocol.space) =
       sp.Protocol.pstate.(node) <- Static s;
       s
 
-let space_of (ctx : Protocol.ctx) meta =
-  ctx.Protocol.rt.Protocol.spaces.(meta.Store.space)
-
-let start_read (ctx : Protocol.ctx) meta =
-  (* During learning this is the miss that records us as a consumer; in
-     steady state pushed data makes it a hit. *)
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.start_hit;
-  Blocks.fetch_shared ctx.Protocol.bctx meta
-
-let start_write (ctx : Protocol.ctx) meta =
-  Protocol.charge ctx (Protocol.cost ctx).Ace_net.Cost_model.start_hit;
-  Blocks.fetch_shared ctx.Protocol.bctx meta;
-  let s = state ctx (space_of ctx meta) in
+(* After a write's fetch: remember the region for the next barrier. *)
+let note_written (ctx : Protocol.ctx) meta =
+  let s = state ctx (Lang.space_of ctx meta) in
   if not (List.mem meta.Store.rid s.written) then
     s.written <- meta.Store.rid :: s.written
 
@@ -117,25 +107,13 @@ let barrier (ctx : Protocol.ctx) (sp : Protocol.space) =
     List.iter (fun iv -> Machine.await ctx.Protocol.proc iv) pending
   end
 
-let lock = Ace_runtime.Proto_sc.lock
-let unlock = Ace_runtime.Proto_sc.unlock
-
-let detach (ctx : Protocol.ctx) (sp : Protocol.space) =
-  (* Push anything still unpublished, then flush to base state. *)
-  barrier ctx sp;
-  Ace_runtime.Proto_sc.detach ctx sp
-
-let protocol =
-  {
-    Protocol.null_protocol with
-    Protocol.name = "STATIC_UPDATE";
-    optimizable = true;
-    has_start_read = true;
-    has_start_write = true;
-    start_read;
-    start_write;
-    barrier;
-    lock;
-    unlock;
-    detach;
-  }
+(* Reads are ordinary misses: during learning the miss records us as a
+   consumer; in steady state pushed data makes it a hit. Detach pushes
+   anything still unpublished, then flushes to base state. *)
+let spec =
+  Lang.(
+    define "STATIC_UPDATE" ~optimizable:true
+      ~start_read:[ Charge Start_hit; Fetch_shared ]
+      ~start_write:[ Charge Start_hit; Fetch_shared; Call note_written ]
+      ~barrier:[ Call barrier ] ~lock:sc_lock ~unlock:sc_unlock
+      ~detach:[ Call barrier; Flush_space ])

@@ -31,7 +31,7 @@ let duplicate_registration_rejected () =
   let rt = make ~nprocs:2 () in
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Runtime.register: duplicate protocol SC") (fun () ->
-      Runtime.register rt Ace_runtime.Proto_sc.protocol)
+      Runtime.register rt (Runtime.find_protocol rt "SC"))
 
 let unknown_protocol_rejected () =
   let rt = make ~nprocs:2 () in

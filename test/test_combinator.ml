@@ -1,11 +1,11 @@
-(* Tests for the protocol-combinator DSL (lib/combinator): golden
-   handler-table equivalence against the hand-written protocols, layer
-   semantics (counting is transparent, write-combining publishes at sync
-   points), the has_*-flag lint, duplicate-registration rejection on the
-   combinator surfaces, and the broken-canary combinator that the
-   conformance kit must catch and shrink. *)
+(* Tests for the protocol language (Lang) and the combinator library:
+   compiled null hooks and the unregistered-hook rule, DSL_<X> aliases
+   registering exactly like X, layer semantics (counting is transparent,
+   write-combining publishes at sync points), duplicate-registration
+   rejection, and the broken-canary combinator that the conformance kit
+   must catch and shrink. *)
 
-module Lang = Ace_combinator.Lang
+module Lang = Ace_runtime.Lang
 module Library = Ace_combinator.Library
 module Runtime = Ace_runtime.Runtime
 module Protocol = Ace_runtime.Protocol
@@ -20,28 +20,6 @@ module Driver = Ace_harness.Driver
 module E = Ace_harness.Experiments
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let dsl_pairs =
-  [
-    (Ace_runtime.Proto_sc.protocol, Library.sc.Library.proto);
-    (Ace_protocols.Proto_write_once.protocol, Library.write_once.Library.proto);
-    (Ace_protocols.Proto_migratory.protocol, Library.migratory.Library.proto);
-  ]
-
-(* The compiled handler table must be indistinguishable from the
-   hand-written one at the registry level: same declared access flags,
-   same physically-derived sync flags, same optimizable bit. *)
-let golden_handler_tables () =
-  List.iter
-    (fun ((hand : Protocol.protocol), dsl) ->
-      let eh = Registry.of_protocol hand in
-      let ed = Registry.of_protocol dsl in
-      check
-        ("table " ^ dsl.Protocol.name ^ " = " ^ hand.Protocol.name)
-        true
-        ({ ed with Registry.name = hand.Protocol.name } = eh))
-    dsl_pairs
 
 (* Absent hooks must compile to THE null hook (physical equality), not a
    lookalike — the registry derivation and direct dispatch depend on it. *)
@@ -61,10 +39,16 @@ let effectful_unregistered_rejected () =
       ~start_write:[ Lang.Charge Lang.Start_hit ]
       ~unregistered:[ Lang.Start_write ] "BAD_UNREG"
   in
-  check "compile rejects effectful unregistered hook" true
-    (match Lang.compile bad with
+  let rejected spec =
+    match Lang.compile spec with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false
+  in
+  check "compile rejects effectful unregistered hook" true (rejected bad);
+  (* an embedded handler counts as effectful, whatever it does *)
+  check "compile rejects an unregistered Call" true
+    (rejected
+       { bad with Lang.start_write = [ Lang.Call (fun _ _ -> ()) ] })
 
 (* ---------- run equivalence (small grid) ---------- *)
 
@@ -204,40 +188,21 @@ let duplicate_dsl_registration_rejected () =
     (Invalid_argument "Prog.register_admits_like: duplicate DSL_SC")
     (fun () -> Prog.register_admits_like ~name:"DSL_SC" ~like:"SC")
 
-let flag_lint_clean_on_registry () =
+(* A DSL_<X> alias registers exactly like X (Fig. 1 flags, optimizable
+   bit) apart from its name: the two names share one spec. *)
+let dsl_aliases_equal_originals () =
   let rt = Runtime.create ~nprocs:2 () in
   Ace_protocols.Proto_lib.register_all rt;
   Library.register_all rt;
-  Runtime.register rt Runner.broken_protocol;
-  Runtime.register rt Library.broken.Library.proto;
-  let allow =
-    [ ("WRITE_ONCE", "start_write"); ("DSL_WRITE_ONCE", "start_write") ]
-  in
-  Alcotest.(check (list string)) "no inconsistencies" []
-    (Runtime.lint_flags ~allow rt);
-  (* without the allowlist, the assertion-only write hooks are flagged as
-     the dangerous direction: live handler declared null *)
-  check_int "write-once hooks flagged" 2
-    (List.length (Runtime.lint_flags rt))
-
-let flag_lint_catches_inconsistencies () =
-  let rt = Runtime.create ~nprocs:2 () in
-  Runtime.register rt
-    { Protocol.null_protocol with Protocol.name = "BAD_NULL";
-      has_start_read = true };
-  Runtime.register rt
-    { Ace_runtime.Proto_sc.protocol with Protocol.name = "BAD_LIVE";
-      has_end_write = false };
-  let problems = Runtime.lint_flags rt in
-  let mentions s = List.exists (fun m ->
-      String.length m >= String.length s
-      && String.sub m 0 (String.length s) = s)
-      problems
-  in
-  check "null handler with flag set is flagged" true
-    (mentions "BAD_NULL.start_read");
-  check "live handler declared null is flagged" true
-    (mentions "BAD_LIVE.end_write")
+  List.iter
+    (fun original ->
+      let entry n = Registry.of_protocol (Runtime.find_protocol rt n) in
+      check
+        ("DSL_" ^ original ^ " = " ^ original)
+        true
+        ({ (entry ("DSL_" ^ original)) with Registry.name = original }
+        = entry original))
+    [ "SC"; "WRITE_ONCE"; "MIGRATORY" ]
 
 (* ---------- conformance-kit enrollment ---------- *)
 
@@ -320,8 +285,6 @@ let () =
     [
       ( "compile",
         [
-          Alcotest.test_case "golden handler tables" `Quick
-            golden_handler_tables;
           Alcotest.test_case "null hooks physical" `Quick
             null_hooks_are_physical;
           Alcotest.test_case "effectful unregistered rejected" `Quick
@@ -345,9 +308,8 @@ let () =
           Alcotest.test_case "names registered" `Quick dsl_names_registered;
           Alcotest.test_case "duplicates rejected" `Quick
             duplicate_dsl_registration_rejected;
-          Alcotest.test_case "flag lint clean" `Quick flag_lint_clean_on_registry;
-          Alcotest.test_case "flag lint catches bad flags" `Quick
-            flag_lint_catches_inconsistencies;
+          Alcotest.test_case "DSL aliases equal originals" `Quick
+            dsl_aliases_equal_originals;
         ] );
       ( "conformance",
         [

@@ -1,5 +1,6 @@
 (* Critical-path profiler tests: trace/critpath readers on malformed
-   input, hand-computed blame and what-if on a tiny fixture DAG, recorder
+   input (hand-written cases, and truncated or byte-mutated documents fed
+   to every reader), hand-computed blame and what-if on a tiny fixture DAG, recorder
    round-trips through the ace-critpath-v1 serialization, and the
    acceptance invariants — recording never changes simulated time, path
    blame sums to the simulated duration, and the what-if prediction for a
@@ -11,6 +12,8 @@ module Driver = Ace_harness.Driver
 module Trace_read = Ace_obs.Trace_read
 module Critpath = Ace_obs.Critpath
 module Cm = Ace_net.Cost_model
+module Repro = Ace_check.Repro
+module Prog = Ace_check.Prog
 
 let em3d_cfg = { Ace_apps.Em3d.default with Ace_apps.Em3d.n_nodes = 64; steps = 2 }
 let nprocs = 4
@@ -142,6 +145,140 @@ let test_fixture_segments () =
       Alcotest.(check (float 1e-9)) "heaviest cycles" 100. s.Critpath.seg_cycles
   | l -> Alcotest.failf "top_segments k:1 returned %d" (List.length l))
 
+(* Indices below -1 or message endpoints outside the machine are refused
+   with a named failure instead of being read as "no predecessor" or
+   printed as a P99 link: each case is the 2-proc fixture with one field
+   corrupted. *)
+let test_critpath_out_of_range () =
+  let corrupt ~from ~into =
+    match Str_find.find fixture from with
+    | -1 -> Alcotest.failf "fixture has no %S" from
+    | i ->
+        String.sub fixture 0 i ^ into
+        ^ String.sub fixture (i + String.length from)
+            (String.length fixture - i - String.length from)
+  in
+  let rejects name doc msg =
+    match Critpath.of_string doc with
+    | (_ : Critpath.dag) -> Alcotest.failf "%s: accepted" name
+    | exception Failure m -> Alcotest.(check string) name msg m
+  in
+  rejects "pred -5"
+    (corrupt ~from:"[2, -1, 1, 1, 0, 250, 100]" ~into:"[-5, -1, 1, 1, 0, 250, 100]")
+    "critpath: node 3 has a non-causal edge";
+  rejects "pred2 -2"
+    (corrupt ~from:"[2, -1, 1, 1, 0, 250, 100]" ~into:"[2, -2, 1, 1, 0, 250, 100]")
+    "critpath: node 3 has a non-causal edge";
+  rejects "head -7"
+    (corrupt ~from:"\"heads\": [1, 3]" ~into:"\"heads\": [-7, 3]")
+    "critpath: head out of range";
+  rejects "msg from P99"
+    (corrupt ~from:"[1, -1, 2, 0, 1, 150, 50]" ~into:"[1, -1, 2, 99, 1, 150, 50]")
+    "critpath: message node 2 has an endpoint outside 0..1";
+  rejects "msg to P-1"
+    (corrupt ~from:"[1, -1, 2, 0, 1, 150, 50]" ~into:"[1, -1, 2, 0, -1, 150, 50]")
+    "critpath: message node 2 has an endpoint outside 0..1"
+
+(* ---- reader fuzzing ----
+
+   Truncate or overwrite a few bytes of a valid document. Each reader must
+   either parse the result or raise its documented exception with its own
+   message prefix — never index out of bounds, Not_found or a stack
+   overflow — and a DAG that parses must survive the analyses. *)
+
+let mutant seed =
+  let open QCheck.Gen in
+  let n = String.length seed in
+  let overwrite positions bytes =
+    map
+      (fun edits ->
+        let b = Bytes.of_string seed in
+        List.iter (fun (i, c) -> Bytes.set b i c) edits;
+        Bytes.to_string b)
+      (list_size (int_range 1 4) (pair positions bytes))
+  in
+  (* numbers carry the indices, so they get their own mutation *)
+  let digits =
+    List.filter (fun i -> seed.[i] >= '0' && seed.[i] <= '9') (List.init n Fun.id)
+  in
+  oneof
+    [
+      map (fun k -> String.sub seed 0 k) (int_bound n);
+      overwrite (int_bound (n - 1))
+        (oneof [ oneofl [ '['; ']'; '{'; '}'; '"'; ','; ':'; ' '; '\n'; '|' ]; char ]);
+      overwrite (oneofl digits) (oneofl [ '-'; '0'; '1'; '2'; '5'; '9'; 'e' ]);
+    ]
+
+let prefixed p m = String.length m >= String.length p && String.sub m 0 (String.length p) = p
+
+let reader_fuzz name seed ~read ~documented =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~print:String.escaped (mutant seed))
+    (fun doc ->
+      match read doc with
+      | () -> true
+      | exception e when documented e -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e))
+
+let critpath_seed =
+  "{\"schema\": \"ace-critpath-v1\", \"nprocs\": 2, \"end_time\": 250,\n\
+   \ \"kinds\": [\"root\", \"app\", \"msg\", \"seg\"],\n\
+   \ \"heads\": [1, 4],\n\
+   \ \"nodes\": [[-1, -1, 0, -1, -1, 0, 0],\n\
+   \            [0, -1, 1, 0, -1, 100, 100],\n\
+   \            [1, -1, 2, 0, 1, 150, 50],\n\
+   \            [2, -1, 1, 1, 0, 250, 100],\n\
+   \            [3, 1, 3, 1, 0, 260, 10]],\n\
+   \ \"bd\": [[4, 1, 0, 6], [4, 1, 1, 4]]}"
+
+let fuzz_critpath =
+  reader_fuzz "critpath reader" critpath_seed
+    ~read:(fun doc ->
+      let d = Critpath.of_string doc in
+      let bp = Critpath.blamed_path d in
+      ignore (Critpath.blame_by_kind d bp, Critpath.blame_by_space d bp);
+      ignore (Critpath.blame_by_link d bp, Critpath.blame_by_node d bp);
+      ignore (Critpath.top_segments d bp ~k:3);
+      ignore (Critpath.replay d [ { Critpath.target = Critpath.Op "msg"; factor = 0.5 } ]))
+    ~documented:(function
+      | Failure m -> prefixed "critpath: " m
+      | Ace_obs.Json.Parse_error _ -> true
+      | _ -> false)
+
+let trace_seed =
+  "{\"traceEvents\": [\n\
+   \ {\"name\": \"thread_name\", \"ph\": \"M\", \"tid\": 0, \"args\": {\"name\": \"P0\"}},\n\
+   \ {\"name\": \"start_read\", \"cat\": \"ace\", \"ph\": \"X\", \"ts\": 10.5,\n\
+   \  \"dur\": 4, \"tid\": 0, \"args\": {\"space\": 1, \"rid\": 7}},\n\
+   \ {\"name\": \"msg\", \"cat\": \"net\", \"ph\": \"b\", \"ts\": 12, \"tid\": 1, \"id\": 3}]}"
+
+let fuzz_trace =
+  reader_fuzz "trace reader" trace_seed
+    ~read:(fun doc -> ignore (Trace_read.nprocs (Trace_read.of_string doc)))
+    ~documented:(function
+      | Failure m -> prefixed "trace: " m
+      | Ace_obs.Json.Parse_error _ -> true
+      | _ -> false)
+
+let repro_seed =
+  Repro.to_string
+    {
+      Repro.proto = "DYN_UPDATE";
+      policy = Ace_engine.Event_queue.Rotate { stride = 2; offset = 0 };
+      faults = Some (Ace_net.Faults.spec ~drop:0.03 ~dup:0.02 ~jitter:25. ~seed:11 ());
+      batch = true;
+      reason = "heap mismatch";
+      prog = Prog.generate () (Random.State.make [| 3 |]);
+    }
+
+let fuzz_repro =
+  reader_fuzz "repro reader" repro_seed
+    ~read:(fun doc -> ignore (Repro.of_string doc))
+    ~documented:(function
+      | Invalid_argument m -> prefixed "Repro.of_string: " m
+      | _ -> false)
+
 (* ---- recorder round-trip through the serialization ---- *)
 
 let run_em3d ?crit ?cost ?stats () =
@@ -250,6 +387,11 @@ let () =
             test_trace_read_tolerant_events;
           Alcotest.test_case "critpath malformed" `Quick
             test_critpath_load_malformed;
+          Alcotest.test_case "critpath out-of-range indices" `Quick
+            test_critpath_out_of_range;
+          QCheck_alcotest.to_alcotest fuzz_critpath;
+          QCheck_alcotest.to_alcotest fuzz_trace;
+          QCheck_alcotest.to_alcotest fuzz_repro;
         ] );
       ( "fixture",
         [

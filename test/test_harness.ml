@@ -122,24 +122,25 @@ let critpath_wall () =
   expect "critpath_overhead/what-if" false
     (checks "critpath_overhead" off_by_10pct)
 
-let combinator_rows ?(identical = 1.) ~hand ~dsl () =
+let combinator_rows ?(identical = 1.) ~plain ~layered () =
   let row = R.row ~experiment:"combinator" in
   [
-    row ~name:"EM3D / SC" ~wall:0.
-      ~messages:[ ("hand", 10.); ("dsl", 10.) ]
-      [ ("hand", 1.); ("dsl", 1.); ("identical", identical) ];
-    row ~name:"dispatch-em3d-hand" ~wall:hand [ ("seconds", 1.) ];
-    row ~name:"dispatch-em3d-dsl" ~wall:dsl [ ("seconds", 1.) ];
+    row ~name:"EM3D" ~wall:0.
+      ~messages:[ ("plain", 10.); ("layered", 10.) ]
+      [ ("plain", 1.); ("layered", 1.); ("identical", identical) ];
+    row ~name:"dispatch-em3d-plain" ~wall:plain [ ("seconds", 1.) ];
+    row ~name:"dispatch-em3d-layered" ~wall:layered [ ("seconds", 1.) ];
   ]
 
 let combinator_guard () =
   (* limit = 1.0 x 1.05 + 0.15 = 1.2 s *)
-  let ok = checks "combinator" (combinator_rows ~hand:1.0 ~dsl:1.15 ()) in
+  let ok = checks "combinator" (combinator_rows ~plain:1.0 ~layered:1.15 ()) in
   List.iter (fun c -> Alcotest.(check bool) c.R.series true c.R.ok) ok;
   expect "combinator/dispatch-wall" false
-    (checks "combinator" (combinator_rows ~hand:1.0 ~dsl:1.25 ()));
-  expect "combinator/EM3D / SC" false
-    (checks "combinator" (combinator_rows ~identical:0. ~hand:1.0 ~dsl:1.0 ()))
+    (checks "combinator" (combinator_rows ~plain:1.0 ~layered:1.25 ()));
+  expect "combinator/EM3D" false
+    (checks "combinator"
+       (combinator_rows ~identical:0. ~plain:1.0 ~layered:1.0 ()))
 
 let serving_rows ~adaptive ~switches =
   List.map
