@@ -127,17 +127,34 @@ let () =
   let selected = List.rev !selected in
   if List.mem "trace_overhead" selected && o.trace = None then
     usage_error "trace_overhead requires --trace FILE";
-  (* fail fast on an unwritable report path rather than after the run *)
-  Option.iter
-    (fun p ->
+  (* Fail fast on a clashing or unwritable output path rather than after
+     the run. *)
+  let outputs =
+    List.filter_map
+      (fun (flag, p) -> Option.map (fun p -> (flag, p)) p)
+      [ ("--json", !json); ("--trace", o.trace); ("--critpath", o.critpath) ]
+  in
+  let rec clash = function
+    | [] -> ()
+    | (flag, p) :: rest ->
+        Option.iter
+          (fun (flag', _) -> usage_error "%s and %s name the same file %s" flag flag' p)
+          (List.find_opt (fun (_, p') -> p' = p) rest);
+        clash rest
+  in
+  clash outputs;
+  List.iter
+    (fun (flag, p) ->
       try close_out (open_out_gen [ Open_append; Open_creat ] 0o644 p)
-      with Sys_error m -> usage_error "cannot write --json file: %s" m)
-    !json;
+      with Sys_error m -> usage_error "cannot write %s file: %s" flag m)
+    outputs;
   (match o.trace_dir with
   | Some dir when not (Sys.file_exists dir) -> (
       try Unix.mkdir dir 0o755
       with Unix.Unix_error (e, _, _) ->
         usage_error "cannot create --trace-dir: %s" (Unix.error_message e))
+  | Some dir when not (Sys.is_directory dir) ->
+      usage_error "--trace-dir %s is not a directory" dir
   | _ -> ());
   let baseline =
     Option.map

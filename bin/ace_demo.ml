@@ -7,7 +7,7 @@
 
    Exit status: 0 on success, 1 when the simulation itself fails, 2 on bad
    usage (an unknown option or protocol, an option value out of range, an
-   unwritable output file).
+   unwritable output file, --trace and --critpath naming the same file).
 *)
 
 open Cmdliner
@@ -315,17 +315,17 @@ let protocol_names () =
   List.map (fun p -> p.Ace_runtime.Protocol.name) (Ace_runtime.Runtime.protocols rt)
 
 (* The first out-of-range option value, as a usage message. *)
-let bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~outputs =
+let bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~trace ~critpath =
   let known = lazy (protocol_names ()) in
   let unknown = List.find_opt (fun p -> not (List.mem p (Lazy.force known))) protocols in
-  let unwritable =
+  let unwritable () =
     List.find_map
       (fun path ->
         try
           close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path);
           None
-        with Sys_error m -> Some m)
-      outputs
+        with Sys_error m -> Some ("cannot write " ^ m))
+      (Option.to_list trace @ Option.to_list critpath)
   in
   if nprocs < 2 then Some (Printf.sprintf "--procs must be at least 2 (got %d)" nprocs)
   else if steps < 1 then Some (Printf.sprintf "--steps must be at least 1 (got %d)" steps)
@@ -337,13 +337,14 @@ let bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~outputs =
   else if jitter < 0. then
     Some (Printf.sprintf "--jitter must be non-negative (got %g)" jitter)
   else
-    match (unknown, unwritable) with
+    match (unknown, trace) with
     | Some p, _ ->
         Some
           (Printf.sprintf "unknown protocol %s (known: %s)" p
              (String.concat " " (Lazy.force known)))
-    | None, Some m -> Some ("cannot write " ^ m)
-    | None, None -> None
+    | None, Some t when trace = critpath ->
+        Some ("--trace and --critpath name the same file " ^ t)
+    | None, _ -> unwritable ()
 
 let cmd =
   let doc = "run an Ace/CRL benchmark on the simulated CM-5" in
@@ -354,7 +355,8 @@ let cmd =
       Cmd.Exit.info 2
         ~doc:
           "on bad usage: an unknown option or protocol, an option value out \
-           of range, or an unwritable output file.";
+           of range, an unwritable output file, or --trace and --critpath \
+           naming the same file.";
     ]
   in
   Cmd.v
@@ -376,9 +378,9 @@ let cmd =
             | `Ace, `Water (Some (intra, inter)) -> [ intra; inter ]
             | `Ace, _ -> Option.to_list protocol
           in
-          let outputs = Option.to_list trace @ Option.to_list critpath in
           match
-            bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~outputs
+            bad_input ~nprocs ~steps ~scale ~drop ~dup ~jitter ~protocols ~trace
+              ~critpath
           with
           | Some m -> usage_error "%s" m
           | None -> (

@@ -5,25 +5,22 @@
 
 module Machine = Ace_engine.Machine
 module Stats = Ace_engine.Stats
-module Trace = Ace_engine.Trace
 module Store = Ace_region.Store
 module Blocks = Ace_region.Blocks
 module Cost_model = Ace_net.Cost_model
-module Crit = Ace_engine.Crit
 
 let fam_dispatch_space = Stats.fam "ace.dispatch.by_space"
 
-(* Critical-path activity kinds: while a protocol-op dispatch (or the
-   pre-barrier hook) is running, the processor's compute intervals — the
-   dispatch charge, the handler's own charges, and any miss latency paid
-   inside — are blamed on the op and the region's space. *)
-let k_start_read = Crit.kind "start_read"
-let k_end_read = Crit.kind "end_read"
-let k_start_write = Crit.kind "start_write"
-let k_end_write = Crit.kind "end_write"
-let k_lock = Crit.kind "lock"
-let k_unlock = Crit.kind "unlock"
-let k_barrier_hook = Crit.kind "barrier_hook"
+(* Protocol-call probes: a trace span per call and, in the causal DAG, the
+   call's compute — dispatch charge, handler charges, and any miss latency
+   paid inside — blamed on the op and the region's space. *)
+let op_start_read = Machine.op "start_read"
+let op_end_read = Machine.op "end_read"
+let op_start_write = Machine.op "start_write"
+let op_end_write = Machine.op "end_write"
+let op_lock = Machine.op "lock"
+let op_unlock = Machine.op "unlock"
+let op_barrier_hook = Machine.op "barrier_hook"
 
 type ctx = Protocol.ctx
 type h = Store.meta
@@ -84,71 +81,41 @@ let data (ctx : ctx) (h : h) =
 (* The dispatcher charges only the space-indirection cost; each protocol
    handler charges its own processing (so a null handler really is nearly
    free, and direct-dispatched compiled code can drop even the
-   indirection). Each dispatch bumps the per-space call counter and, when a
-   tracer is attached, records a span covering the protocol handler on the
-   calling processor's row (recording never touches the virtual clock). *)
-let dispatch_access ctx h name kid hook =
+   indirection). Each dispatch bumps the per-space call counter. *)
+let dispatch_access ctx h op hook =
   let rt = ctx.Protocol.rt in
-  let m = rt.Protocol.machine in
-  let run () =
-    charge ctx (cost ctx).Cost_model.dispatch;
-    Stats.incr_dim (Machine.stats m) fam_dispatch_space h.Store.space;
-    match Machine.trace m with
-    | None -> hook (space_of ctx h).Protocol.proto ctx h
-    | Some tr ->
-        let p = ctx.Protocol.proc in
-        let t0 = p.Machine.clock in
-        hook (space_of ctx h).Protocol.proto ctx h;
-        Trace.span tr ~name ~cat:"call" ~tid:p.Machine.id ~ts:t0
-          ~dur:(p.Machine.clock -. t0)
-          ~args:[ ("space", h.Store.space); ("rid", h.Store.rid) ] ()
-  in
-  match Machine.crit m with
-  | None -> run ()
-  | Some c ->
-      let proc = ctx.Protocol.proc.Machine.id in
-      let old_k, old_s =
-        Crit.swap_activity c ~proc ~kind:kid ~space:h.Store.space
-      in
-      run ();
-      Crit.set_activity c ~proc ~kind:old_k ~space:old_s
+  Machine.call ctx.Protocol.proc op ~space:h.Store.space ~rid:h.Store.rid
+    ~charge:(cost ctx).Cost_model.dispatch (fun () ->
+      Stats.incr_dim (Machine.stats rt.Protocol.machine) fam_dispatch_space
+        h.Store.space;
+      hook (space_of ctx h).Protocol.proto ctx h)
 
 let start_read (ctx : ctx) h =
-  dispatch_access ctx h "start_read" k_start_read (fun p -> p.Protocol.start_read);
+  dispatch_access ctx h op_start_read (fun p -> p.Protocol.start_read);
   Blocks.begin_access ctx.Protocol.bctx h ~write:false
 
 let end_read (ctx : ctx) h =
-  dispatch_access ctx h "end_read" k_end_read (fun p -> p.Protocol.end_read);
+  dispatch_access ctx h op_end_read (fun p -> p.Protocol.end_read);
   Blocks.end_access ctx.Protocol.bctx h ~write:false
 
 let start_write (ctx : ctx) h =
-  dispatch_access ctx h "start_write" k_start_write (fun p -> p.Protocol.start_write);
+  dispatch_access ctx h op_start_write (fun p -> p.Protocol.start_write);
   Blocks.begin_access ctx.Protocol.bctx h ~write:true
 
 let end_write (ctx : ctx) h =
-  dispatch_access ctx h "end_write" k_end_write (fun p -> p.Protocol.end_write);
+  dispatch_access ctx h op_end_write (fun p -> p.Protocol.end_write);
   Blocks.end_access ctx.Protocol.bctx h ~write:true
 
 (* Lock spans come in two kinds: the [lock]/[unlock] protocol-call spans
    (cat "call", like any other dispatch) and a [lock.hold] span (cat
    "lock") stretching from lock acquisition to the matching unlock. *)
 let lock (ctx : ctx) h =
-  dispatch_access ctx h "lock" k_lock (fun p -> p.Protocol.lock);
-  match Machine.trace ctx.Protocol.rt.Protocol.machine with
-  | None -> ()
-  | Some tr ->
-      let p = ctx.Protocol.proc in
-      Trace.lock_acquired tr ~tid:p.Machine.id ~rid:h.Store.rid
-        ~ts:p.Machine.clock
+  dispatch_access ctx h op_lock (fun p -> p.Protocol.lock);
+  Machine.lock_acquired ctx.Protocol.proc ~rid:h.Store.rid
 
 let unlock (ctx : ctx) h =
-  (match Machine.trace ctx.Protocol.rt.Protocol.machine with
-  | None -> ()
-  | Some tr ->
-      let p = ctx.Protocol.proc in
-      Trace.lock_released tr ~tid:p.Machine.id ~rid:h.Store.rid
-        ~ts:p.Machine.clock);
-  dispatch_access ctx h "unlock" k_unlock (fun p -> p.Protocol.unlock)
+  Machine.lock_released ctx.Protocol.proc ~rid:h.Store.rid;
+  dispatch_access ctx h op_unlock (fun p -> p.Protocol.unlock)
 
 let base_barrier (ctx : ctx) =
   Machine.Barrier.wait ctx.Protocol.rt.Protocol.base_barrier ctx.Protocol.proc
@@ -159,28 +126,9 @@ let base_barrier (ctx : ctx) =
    synchronization itself is traced (per generation) by Machine.Barrier. *)
 let barrier (ctx : ctx) ~space =
   let sp = Runtime.space ctx.Protocol.rt space in
-  let m = ctx.Protocol.rt.Protocol.machine in
-  let run_hook () =
-    charge ctx (cost ctx).Cost_model.dispatch;
-    match Machine.trace m with
-    | None -> sp.Protocol.proto.Protocol.barrier ctx sp
-    | Some tr ->
-        let p = ctx.Protocol.proc in
-        let t0 = p.Machine.clock in
-        sp.Protocol.proto.Protocol.barrier ctx sp;
-        Trace.span tr ~name:"barrier_hook" ~cat:"call" ~tid:p.Machine.id ~ts:t0
-          ~dur:(p.Machine.clock -. t0)
-          ~args:[ ("space", space) ] ()
-  in
-  (match Machine.crit m with
-  | None -> run_hook ()
-  | Some c ->
-      let proc = ctx.Protocol.proc.Machine.id in
-      let old_k, old_s =
-        Crit.swap_activity c ~proc ~kind:k_barrier_hook ~space
-      in
-      run_hook ();
-      Crit.set_activity c ~proc ~kind:old_k ~space:old_s);
+  Machine.call ctx.Protocol.proc op_barrier_hook ~space ~rid:(-1)
+    ~charge:(cost ctx).Cost_model.dispatch (fun () ->
+      sp.Protocol.proto.Protocol.barrier ctx sp);
   base_barrier ctx
 
 (* Ace_ChangeProtocol: collective. The old protocol defines the transition
@@ -206,14 +154,9 @@ let change_protocol (ctx : ctx) ~space name =
               protocol %S for space %d but node %d requested %S (mismatched \
               Ace_ChangeProtocol across nodes?)"
              (me ctx) name sp.Protocol.sid first_node first_name));
-  (match Machine.trace ctx.Protocol.rt.Protocol.machine with
-  | None -> ()
-  | Some tr ->
-      let p = ctx.Protocol.proc in
-      Trace.instant tr
-        ~name:(Printf.sprintf "change_protocol->%s" name)
-        ~cat:"proto" ~tid:p.Machine.id ~ts:p.Machine.clock
-        ~args:[ ("space", space) ] ());
+  Machine.instant rt.Protocol.machine ~name:("change_protocol->" ^ name)
+    ~cat:"proto" ~tid:(me ctx) ~ts:ctx.Protocol.proc.Machine.clock
+    [ ("space", space) ];
   (* No fiber may block with a non-empty write-combining queue, and the
      swap barriers below block without passing through a Blocks entry
      point: a parked [queue_write_home] update crossing the swap would be

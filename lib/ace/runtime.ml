@@ -46,7 +46,6 @@ let net (rt : Protocol.runtime) = rt.Protocol.net
 let store (rt : Protocol.runtime) = rt.Protocol.store
 let nprocs (rt : Protocol.runtime) = Machine.nprocs rt.Protocol.machine
 let set_trace (rt : Protocol.runtime) tr = Machine.set_trace rt.Protocol.machine tr
-let trace (rt : Protocol.runtime) = Machine.trace rt.Protocol.machine
 
 let register (rt : Protocol.runtime) (p : Protocol.protocol) =
   if Hashtbl.mem rt.Protocol.registry p.Protocol.name then

@@ -28,8 +28,6 @@ val nprocs : Protocol.runtime -> int
     time. *)
 val set_trace : Protocol.runtime -> Ace_engine.Trace.t option -> unit
 
-val trace : Protocol.runtime -> Ace_engine.Trace.t option
-
 (** Add a protocol to the registry (the paper's registration script plus
     link step). Raises [Invalid_argument] on duplicate names. *)
 val register : Protocol.runtime -> Protocol.protocol -> unit

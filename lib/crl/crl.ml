@@ -6,7 +6,6 @@
 
 module Machine = Ace_engine.Machine
 module Stats = Ace_engine.Stats
-module Trace = Ace_engine.Trace
 module Store = Ace_region.Store
 module Blocks = Ace_region.Blocks
 module Cost_model = Ace_net.Cost_model
@@ -110,60 +109,52 @@ let data ctx (h : h) =
         (Store.ensure_copy_c h ~node:(me ctx)).Store.cdata
       else invalid_arg "Crl.data: region not mapped on this node"
 
-(* Wrap a coherence call with the per-node call counter and — when a tracer
-   is attached — a span on the caller's row (CRL regions have no space, so
-   spans carry only the region id; recording never moves the clock). *)
-let coh_call ctx name (h : h) f =
+let op_start_read = Machine.op "start_read"
+let op_end_read = Machine.op "end_read"
+let op_start_write = Machine.op "start_write"
+let op_end_write = Machine.op "end_write"
+let op_lock = Machine.op "lock"
+let op_unlock = Machine.op "unlock"
+
+(* Wrap a coherence call with the per-node call counter and the same
+   protocol-call probe as Ace's dispatch: a trace span and, in the causal
+   DAG, blame on the op (CRL regions have no space, so spans carry only
+   the region id). *)
+let coh_call ctx op (h : h) f =
   Stats.incr_dim (Machine.stats ctx.sys.machine) fam_calls_node (me ctx);
-  match Machine.trace ctx.sys.machine with
-  | None -> f ()
-  | Some tr ->
-      let p = ctx.proc in
-      let t0 = p.Machine.clock in
-      f ();
-      Trace.span tr ~name ~cat:"call" ~tid:p.Machine.id ~ts:t0
-        ~dur:(p.Machine.clock -. t0)
-        ~args:[ ("rid", h.Store.rid) ] ()
+  Machine.call ctx.proc op ~space:(-1) ~rid:h.Store.rid ~charge:0. f
 
 let start_read ctx h =
-  coh_call ctx "start_read" h (fun () ->
+  coh_call ctx op_start_read h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.start_hit;
       Blocks.fetch_shared ctx.bctx h);
   Blocks.begin_access ctx.bctx h ~write:false
 
 let end_read ctx h =
-  coh_call ctx "end_read" h (fun () ->
+  coh_call ctx op_end_read h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.end_op);
   Blocks.end_access ctx.bctx h ~write:false
 
 let start_write ctx h =
-  coh_call ctx "start_write" h (fun () ->
+  coh_call ctx op_start_write h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.start_hit;
       Blocks.fetch_exclusive ctx.bctx h);
   Blocks.begin_access ctx.bctx h ~write:true
 
 let end_write ctx h =
-  coh_call ctx "end_write" h (fun () ->
+  coh_call ctx op_end_write h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.end_op);
   Blocks.end_access ctx.bctx h ~write:true
 
 let lock ctx h =
-  coh_call ctx "lock" h (fun () ->
+  coh_call ctx op_lock h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.lock_base;
       Blocks.home_lock ctx.bctx h);
-  match Machine.trace ctx.sys.machine with
-  | None -> ()
-  | Some tr ->
-      Trace.lock_acquired tr ~tid:(me ctx) ~rid:h.Store.rid
-        ~ts:ctx.proc.Machine.clock
+  Machine.lock_acquired ctx.proc ~rid:h.Store.rid
 
 let unlock ctx h =
-  (match Machine.trace ctx.sys.machine with
-  | None -> ()
-  | Some tr ->
-      Trace.lock_released tr ~tid:(me ctx) ~rid:h.Store.rid
-        ~ts:ctx.proc.Machine.clock);
-  coh_call ctx "unlock" h (fun () ->
+  Machine.lock_released ctx.proc ~rid:h.Store.rid;
+  coh_call ctx op_unlock h (fun () ->
       charge ctx ctx.sys.cost.Cost_model.lock_base;
       Blocks.home_unlock ctx.bctx h)
 

@@ -473,8 +473,6 @@ let swap_kind c ~proc k =
   c.act_kind.(proc) <- k;
   old
 
-let set_act_kind c ~proc k = c.act_kind.(proc) <- k
-
 let swap_activity c ~proc ~kind ~space =
   let old = (c.act_kind.(proc), c.act_space.(proc)) in
   c.act_kind.(proc) <- kind;

@@ -105,8 +105,6 @@ val root : t -> proc:int -> cause:int -> time:float -> int
 (** Set the activity kind only (space preserved); returns the old kind. *)
 val swap_kind : t -> proc:int -> int -> int
 
-val set_act_kind : t -> proc:int -> int -> unit
-
 (** Set kind and space; returns the old pair. *)
 val swap_activity : t -> proc:int -> kind:int -> space:int -> int * int
 

@@ -38,41 +38,117 @@ let nprocs t = t.nprocs
 let stats t = t.stats
 let policy t = Event_queue.policy t.events
 let set_trace t tr = t.trace <- tr
-let trace t = t.trace
 let set_crit t c = t.crit <- c
-let crit t = t.crit
 
 (* When a recorder is attached, every queued thunk carries the causal
    context it was created in, restored just before it runs — so the DAG
    hooks inside the thunk (message sends, ivar fills, compute intervals)
    see their true cause. With no recorder this is a plain push. *)
-let schedule_cause t ~time ~cause f =
-  match t.crit with
-  | None -> Event_queue.push t.events ~time f
-  | Some c ->
-      Event_queue.push t.events ~time (fun () ->
-          Crit.set_cur c cause;
-          f ())
+let schedule_cause t c ~time ~cause f =
+  Event_queue.push t.events ~time (fun () ->
+      Crit.set_cur c cause;
+      f ())
 
 let schedule t ~time f =
   match t.crit with
   | None -> Event_queue.push t.events ~time f
-  | Some c -> schedule_cause t ~time ~cause:(Crit.export_cur c) f
+  | Some c -> schedule_cause t c ~time ~cause:(Crit.export_cur c) f
 
 let advance p cycles =
   if cycles < 0. || not (Float.is_finite cycles) then
     invalid_arg "Machine.advance: bad cycle count";
   if cycles > 0. then Effect.perform (Advance (p, cycles))
 
-(* Advance with the compute blamed on [kindid] (e.g. send overhead)
-   instead of the processor's current activity. *)
-let advance_as p kindid cycles =
+(* ---- instrumentation probes: each feeds whichever recorders are
+   attached, and is one field read per recorder when none is ---- *)
+
+type op = { op_name : string; op_kind : int }
+
+let op name = { op_name = name; op_kind = Crit.kind name }
+
+(* The trace half of {!call}: a span over [f] when a tracer is attached. *)
+let span_call t p op ~space ~rid f =
+  match t.trace with
+  | None -> f ()
+  | Some tr ->
+      let t0 = p.clock in
+      f ();
+      let args = if rid >= 0 then [ ("rid", rid) ] else [] in
+      let args = if space >= 0 then ("space", space) :: args else args in
+      Trace.span tr ~name:op.op_name ~cat:"call" ~tid:p.id ~ts:t0
+        ~dur:(p.clock -. t0) ~args ()
+
+let call p op ~space ~rid ~charge f =
+  let t = p.machine in
+  match t.crit with
+  | None ->
+      advance p charge;
+      span_call t p op ~space ~rid f
+  | Some c ->
+      let old_k, old_s =
+        Crit.swap_activity c ~proc:p.id ~kind:op.op_kind ~space
+      in
+      advance p charge;
+      span_call t p op ~space ~rid f;
+      Crit.set_activity c ~proc:p.id ~kind:old_k ~space:old_s
+
+let lock_acquired p ~rid =
+  match p.machine.trace with
+  | None -> ()
+  | Some tr -> Trace.lock_acquired tr ~tid:p.id ~rid ~ts:p.clock
+
+let lock_released p ~rid =
+  match p.machine.trace with
+  | None -> ()
+  | Some tr -> Trace.lock_released tr ~tid:p.id ~rid ~ts:p.clock
+
+let instant t ~name ~cat ~tid ~ts args =
+  match t.trace with
+  | None -> ()
+  | Some tr -> Trace.instant tr ~name ~cat ~tid ~ts ~args ()
+
+let advance_send p cycles =
   match p.machine.crit with
   | None -> advance p cycles
   | Some c ->
-      let old = Crit.swap_kind c ~proc:p.id kindid in
+      let old = Crit.swap_kind c ~proc:p.id Crit.k_send_ovh in
       advance p cycles;
       ignore (Crit.swap_kind c ~proc:p.id old)
+
+let wire t ~src ~dst ~bytes ~now ~arrival f =
+  (match t.trace with
+  | None -> ()
+  | Some tr ->
+      Trace.arc tr ~name:"msg" ~cat:"msg" ~tid_src:src ~tid_dst:dst ~ts:now
+        ~ts_end:arrival
+        ~args:[ ("src", src); ("dst", dst); ("bytes", bytes) ] ());
+  match t.crit with
+  | None -> Event_queue.push t.events ~time:arrival f
+  | Some c ->
+      (* The send→deliver arc: [f]'s cause is this wire message, whose own
+         cause is whatever context performed the send. *)
+      let node =
+        Crit.node c ~pred:(Crit.cur c) ~kind:Crit.k_msg ~a:src ~b:dst
+          ~time:arrival ~cost:(arrival -. now) ()
+      in
+      schedule_cause t c ~time:arrival ~cause:node f
+
+module Fanin = struct
+  type m = t
+  type t = { machine : m; mutable join : int (* -1 = none yet *) }
+
+  let create machine = { machine; join = -1 }
+
+  let arrive f =
+    match f.machine.crit with
+    | None -> ()
+    | Some c -> f.join <- Crit.join c f.join (Crit.cur c)
+
+  let adopt f =
+    match f.machine.crit with
+    | None -> ()
+    | Some c -> if f.join >= 0 then Crit.set_cur c f.join
+end
 
 let await p iv = Effect.perform (Await (p, iv))
 

@@ -35,39 +35,86 @@ val stats : t -> Stats.t
 val policy : t -> Event_queue.policy
 
 (** Attach (or detach) an event tracer. With [None] — the default — every
-    instrumentation point in the simulator reduces to one field read, and
-    a traced run's simulated times are bit-identical to an untraced run's
-    (the tracer only records; it never advances a clock). *)
+    instrumentation probe below reduces to one field read, and a traced
+    run's simulated times are bit-identical to an untraced run's (the
+    tracer only records; it never advances a clock). *)
 val set_trace : t -> Trace.t option -> unit
 
-val trace : t -> Trace.t option
-
 (** Attach (or detach) a causal-DAG recorder for critical-path profiling,
-    same contract as tracing: with [None] every hook is one field read,
+    same contract as tracing: with [None] every probe is one field read,
     and a recorded run's simulated output is bit-identical. *)
 val set_crit : t -> Crit.t option -> unit
 
-val crit : t -> Crit.t option
-
 (** [schedule t ~time f] runs [f] at virtual [time] on the event loop
-    (used for message deliveries; [f] must not block). When a recorder is
-    attached, [f] runs in the scheduling event's causal context. *)
+    ([f] must not block). When a recorder is attached, [f] runs in the
+    scheduling event's causal context. *)
 val schedule : t -> time:float -> (unit -> unit) -> unit
-
-(** Like {!schedule} but [f] runs with the given {!Crit} node as its
-    causal context (used by message delivery, whose cause is the freshly
-    recorded send→deliver arc). Plain push when no recorder is attached. *)
-val schedule_cause : t -> time:float -> cause:int -> (unit -> unit) -> unit
 
 (** {2 Fiber operations} — may only be called from inside a running fiber. *)
 
 (** Advance the calling processor's clock by [cycles] (>= 0). *)
 val advance : proc -> float -> unit
 
-(** Like {!advance}, but when a recorder is attached the cycles are blamed
-    on the given {!Crit} kind instead of the current activity (e.g.
-    [Crit.k_send_ovh] for message send overhead). *)
-val advance_as : proc -> int -> float -> unit
+(** {2 Instrumentation probes}
+
+    The simulator's one instrumentation path: every hook outside the
+    engine is one of these calls, and each feeds whichever of the tracer
+    and the DAG recorder is attached. None moves a virtual clock beyond
+    the cycles it is asked to advance. *)
+
+(** A protocol-call class: its trace span name and its DAG activity kind,
+    interned once. Make one per call at module initialisation. *)
+type op
+
+val op : string -> op
+
+(** [call p op ~space ~rid ~charge f] runs one protocol call on [p]: it
+    advances [charge] cycles (the dispatch indirection), then runs [f].
+    The DAG blames the whole call, charge included, on [op] and [space];
+    the trace's ["call"] span covers [f] only and carries a [space] arg
+    when [space >= 0] and a [rid] arg when [rid >= 0]. *)
+val call :
+  proc -> op -> space:int -> rid:int -> charge:float -> (unit -> unit) -> unit
+
+(** Lock [rid] acquired / released by [p] at its clock: the release emits
+    the hold as a ["lock.hold"] span. *)
+val lock_acquired : proc -> rid:int -> unit
+
+val lock_released : proc -> rid:int -> unit
+
+(** A point event on processor [tid]'s row (a drop, a retransmit, a
+    protocol change, ...). *)
+val instant :
+  t -> name:string -> cat:string -> tid:int -> ts:float ->
+  (string * int) list -> unit
+
+(** {!advance}, with the cycles blamed on message send overhead instead of
+    the processor's current activity. *)
+val advance_send : proc -> float -> unit
+
+(** [wire t ~src ~dst ~bytes ~now ~arrival f] puts one message on the
+    wire: a send→deliver arc in the trace, a message node in the DAG, and
+    [f] scheduled at [arrival] with that node as its cause. *)
+val wire :
+  t -> src:int -> dst:int -> bytes:int -> now:float -> arrival:float ->
+  (unit -> unit) -> unit
+
+(** A causal fan-in: a completion gated on a counter of arrivals (acks,
+    pushes, batched grants) depends on all of them, not only on the one
+    that happened to arrive last. *)
+module Fanin : sig
+  type m := t
+  type t
+
+  val create : m -> t
+
+  (** Fold the current causal context in (at each contributing arrival). *)
+  val arrive : t -> unit
+
+  (** Make the join of all arrivals the current cause (just before the
+      completion fills or grants). *)
+  val adopt : t -> unit
+end
 
 (** Block the calling fiber until the ivar is filled; the processor clock is
     advanced to at least the fill time. Returns the value. *)

@@ -14,23 +14,11 @@ let fresh_runtime ~nprocs =
   Ace_protocols.Proto_lib.register_all rt;
   rt
 
-(* Record the runtime's simulation as a trace file when asked (simulated
-   output is unaffected; see Ace_engine.Trace). *)
-let traced ?trace rt ~nprocs body =
-  match trace with
-  | None -> body ()
-  | Some path ->
-      let tr = Ace_engine.Trace.create () in
-      Runtime.set_trace rt (Some tr);
-      let out = body () in
-      Ace_engine.Trace.write_file tr ~nprocs path;
-      out
-
 (* ---- compiled versions ---- *)
 
 let run_compiled ?trace ~nprocs ~level source =
   let rt = fresh_runtime ~nprocs in
-  traced ?trace rt ~nprocs (fun () ->
+  Driver.traced ?trace (Runtime.machine rt) ~nprocs (fun () ->
       let registry = Ace_lang.Registry.of_runtime rt in
       let ir, _diag = Ace_lang.Compile.compile ~registry ~level source in
       let result = Ace_lang.Interp.run_spmd rt ir in
@@ -365,7 +353,7 @@ let run_hand ?trace ~nprocs name =
   for _ = 1 to n_spaces do
     ignore (Runtime.new_space rt "SC")
   done;
-  traced ?trace rt ~nprocs (fun () ->
+  Driver.traced ?trace (Runtime.machine rt) ~nprocs (fun () ->
       let result = ref nan in
       Runtime.run rt (fun ctx ->
           let r = hand ctx in

@@ -1,8 +1,6 @@
 module Machine = Ace_engine.Machine
 module Ivar = Ace_engine.Ivar
 module Stats = Ace_engine.Stats
-module Trace = Ace_engine.Trace
-module Crit = Ace_engine.Crit
 
 let sid_messages = Stats.intern "net.messages"
 let sid_bytes = Stats.intern "net.bytes"
@@ -131,24 +129,8 @@ let deliver t ~now ~src ~dst ~bytes ~fbytes ~extra handler =
   in
   let b = Stats.bucket a.lat_limits (arrival -. now) in
   a.lat_counts.(b) <- a.lat_counts.(b) +. 1.;
-  (match Machine.trace t.machine with
-  | None -> ()
-  | Some tr ->
-      Trace.arc tr ~name:"msg" ~cat:"msg" ~tid_src:src ~tid_dst:dst ~ts:now
-        ~ts_end:arrival
-        ~args:[ ("src", src); ("dst", dst); ("bytes", bytes) ] ());
-  match Machine.crit t.machine with
-  | None ->
-      Machine.schedule t.machine ~time:arrival (fun () -> handler ~time:arrival)
-  | Some c ->
-      (* The send→deliver arc: the handler's cause is this wire message,
-         whose own cause is whatever context performed the send. *)
-      let node =
-        Crit.node c ~pred:(Crit.cur c) ~kind:Crit.k_msg ~a:src ~b:dst
-          ~time:arrival ~cost:(arrival -. now) ()
-      in
-      Machine.schedule_cause t.machine ~time:arrival ~cause:node (fun () ->
-          handler ~time:arrival)
+  Machine.wire t.machine ~src ~dst ~bytes ~now ~arrival (fun () ->
+      handler ~time:arrival)
 
 (* One wire message (already tallied as a logical send): draw a fault fate
    if a model is attached, then put the surviving copies on the wire. *)
@@ -162,11 +144,8 @@ let emit t ~now ~src ~dst ~bytes handler =
       if fate.Faults.dropped then begin
         Stats.incr_id stats sid_dropped;
         add_link t stats fam_drop_link ((src * t.nprocs) + dst) 1.;
-        match Machine.trace t.machine with
-        | None -> ()
-        | Some tr ->
-            Trace.instant tr ~name:"drop" ~cat:"net" ~tid:src ~ts:now
-              ~args:[ ("dst", dst); ("bytes", bytes) ] ()
+        Machine.instant t.machine ~name:"drop" ~cat:"net" ~tid:src ~ts:now
+          [ ("dst", dst); ("bytes", bytes) ]
       end;
       if fate.Faults.duplicated then Stats.incr_id stats sid_duplicated;
       for _ = 1 to fate.Faults.copies do
@@ -227,11 +206,8 @@ let coalesce t ~now ~src parts =
         add_link t stats fam_coalesced_link
           ((src * nprocs) + dst)
           (float_of_int (k - 1));
-        match Machine.trace t.machine with
-        | None -> ()
-        | Some tr ->
-            Trace.instant tr ~name:"coalesce" ~cat:"net" ~tid:src ~ts:now
-              ~args:[ ("dst", dst); ("parts", k); ("bytes", bytes) ] ()
+        Machine.instant t.machine ~name:"coalesce" ~cat:"net" ~tid:src ~ts:now
+          [ ("dst", dst); ("parts", k); ("bytes", bytes) ]
       end;
       let handler ~time = List.iter (fun q -> q.p_handler ~time) group in
       (dst, bytes, handler))
@@ -248,14 +224,12 @@ let send_multi t ~now ~src parts =
 
 let send_multi_from t (p : Machine.proc) parts =
   if parts <> [] then begin
-    Machine.advance_as p Crit.k_send_ovh
-      t.cost.Cost_model.am_send_overhead;
+    Machine.advance_send p t.cost.Cost_model.am_send_overhead;
     send_multi t ~now:p.Machine.clock ~src:p.Machine.id parts
   end
 
 let send_from t (p : Machine.proc) ~dst ~bytes handler =
-  Machine.advance_as p Crit.k_send_ovh
-    t.cost.Cost_model.am_send_overhead;
+  Machine.advance_send p t.cost.Cost_model.am_send_overhead;
   send t ~now:p.Machine.clock ~src:p.Machine.id ~dst ~bytes handler
 
 let rpc t p ~dst ~bytes handler =

@@ -28,7 +28,6 @@
 module Machine = Ace_engine.Machine
 module Ivar = Ace_engine.Ivar
 module Stats = Ace_engine.Stats
-module Trace = Ace_engine.Trace
 
 let sid_retransmits = Stats.intern "net.retransmits"
 let sid_timeouts = Stats.intern "net.timeouts"
@@ -204,18 +203,14 @@ let transmit t ch m ~now =
   match rev_channel t ch with
   | Some r when r.ack_owed <> [] ->
       let ms = r.ack_owed in
+      let acks = List.length ms in
       r.ack_owed <- [];
       Stats.add_id
         (Machine.stats (Am.machine t.am))
-        sid_acks_piggybacked
-        (float_of_int (List.length ms));
-      (match Machine.trace (Am.machine t.am) with
-      | None -> ()
-      | Some tr ->
-          Trace.instant tr ~name:"ack_piggyback" ~cat:"net" ~tid:ch.c_src
-            ~ts:now
-            ~args:[ ("dst", ch.c_dst); ("acks", List.length ms) ]
-            ());
+        sid_acks_piggybacked (float_of_int acks);
+      Machine.instant (Am.machine t.am) ~name:"ack_piggyback" ~cat:"net"
+        ~tid:ch.c_src ~ts:now
+        [ ("dst", ch.c_dst); ("acks", acks) ];
       Am.send t.am ~now ~src:ch.c_src ~dst:ch.c_dst
         ~bytes:(m.i_bytes + ack_bytes) (fun ~time ->
           settle r ms;
@@ -244,16 +239,9 @@ let rec arm t ch m ~at =
            else Stats.incr_dim_sparse)
             stats fam_retrans_link
             ((ch.c_src * t.nprocs) + ch.c_dst);
-          (match Machine.trace (Am.machine t.am) with
-          | None -> ()
-          | Some tr ->
-              Trace.instant tr ~name:"retransmit" ~cat:"net" ~tid:ch.c_src
-                ~ts:at
-                ~args:
-                  [
-                    ("dst", ch.c_dst); ("seq", m.i_seq); ("attempt", m.attempts);
-                  ]
-                ());
+          Machine.instant (Am.machine t.am) ~name:"retransmit" ~cat:"net"
+            ~tid:ch.c_src ~ts:at
+            [ ("dst", ch.c_dst); ("seq", m.i_seq); ("attempt", m.attempts) ];
           transmit t ch m ~now:at;
           m.rto <- m.rto *. t.backoff;
           arm t ch m ~at:(at +. m.rto)
@@ -284,8 +272,7 @@ let send t ~now ~src ~dst ~bytes handler =
       arm t ch m ~at:(now +. m.rto)
 
 let send_from t (p : Machine.proc) ~dst ~bytes handler =
-  Machine.advance_as p Ace_engine.Crit.k_send_ovh
-    (Am.cost t.am).Cost_model.am_send_overhead;
+  Machine.advance_send p (Am.cost t.am).Cost_model.am_send_overhead;
   send t ~now:p.Machine.clock ~src:p.Machine.id ~dst ~bytes handler
 
 let part = Am.part
@@ -304,8 +291,7 @@ let send_multi t ~now ~src parts =
 
 let send_multi_from t (p : Machine.proc) parts =
   if parts <> [] then begin
-    Machine.advance_as p Ace_engine.Crit.k_send_ovh
-      (Am.cost t.am).Cost_model.am_send_overhead;
+    Machine.advance_send p (Am.cost t.am).Cost_model.am_send_overhead;
     send_multi t ~now:p.Machine.clock ~src:p.Machine.id parts
   end
 

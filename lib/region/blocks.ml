@@ -222,29 +222,6 @@ let recall_owner ctx meta ~time ~downgrade k =
 
 let stats ctx = Machine.stats (Net.machine ctx.net)
 
-(* ---- causal fan-in (critical-path recording) ----
-
-   Completion events gated on ack/delivery counters (invalidation acks,
-   update pushes, batched fetches) depend on ALL their contributing
-   arrivals, not just whichever handler happened to decrement the counter
-   last. When a Crit recorder is attached, each contributing site folds
-   its causal context into a join ref with [merge_cause], and the
-   completion adopts the join with [adopt_cause] just before granting or
-   filling — so a what-if replay can re-decide which arrival is last.
-   Both are a single field read when no recorder is attached. *)
-
-let crit ctx = Machine.crit (Net.machine ctx.net)
-
-let merge_cause ctx jn =
-  match crit ctx with
-  | None -> ()
-  | Some c -> jn := Ace_engine.Crit.join c !jn (Ace_engine.Crit.cur c)
-
-let adopt_cause ctx jn =
-  match crit ctx with
-  | None -> ()
-  | Some c -> if !jn >= 0 then Ace_engine.Crit.set_cur c !jn
-
 (* ---- write-combining (batching): queued dirty-region updates ---- *)
 
 (* One vectored-message part per queued update: at the home, land the
@@ -361,7 +338,7 @@ let fetch_shared_batch ctx metas =
     let homes = List.rev_map (fun (h, ms) -> (h, List.rev ms)) !by_home in
     let done_iv = Ivar.create () in
     let groups = ref (List.length homes) in
-    let cjn = ref (-1) in
+    let fan = Machine.Fanin.create ctx.proc.Machine.machine in
     let parts =
       List.map
         (fun (h, group) ->
@@ -387,10 +364,10 @@ let fetch_shared_batch ctx metas =
                             c.Store.cstate <- Store.Shared;
                             at := !at + meta.Store.len)
                           group;
-                        merge_cause ctx cjn;
+                        Machine.Fanin.arrive fan;
                         decr groups;
                         if !groups = 0 then begin
-                          adopt_cause ctx cjn;
+                          Machine.Fanin.adopt fan;
                           Ivar.fill done_iv ~time ()
                         end)
                 | (meta : Store.meta) :: rest ->
@@ -457,17 +434,17 @@ let fetch_exclusive ctx meta =
             let outstanding =
               ref (!n_victims + if invalidate_home then 1 else 0)
             in
-            let cjn = ref (-1) in
+            let fan = Machine.Fanin.create ctx.proc.Machine.machine in
             let st = stats ctx in
             Stats.observe st hist_inval_fanout (float_of_int !outstanding);
             if meta.Store.space >= 0 && !outstanding > 0 then
               Stats.add_dim st fam_inval_space meta.Store.space
                 (float_of_int !outstanding);
             let acked time =
-              merge_cause ctx cjn;
+              Machine.Fanin.arrive fan;
               decr outstanding;
               if !outstanding = 0 then begin
-                adopt_cause ctx cjn;
+                Machine.Fanin.adopt fan;
                 grant time
               end
             in
@@ -569,7 +546,7 @@ let invalidate_batch ctx metas =
   reset_lcache ctx;
   let n = node ctx in
   let outstanding = ref 0 in
-  let cjn = ref (-1) in
+  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   let done_iv = Ivar.create () in
   let parts = ref [] in
   let home_owned = ref [] in
@@ -610,10 +587,10 @@ let invalidate_batch ctx metas =
                         end;
                         Dir.remove d.Store.sharers n;
                         dir_exit meta ~time;
-                        merge_cause ctx cjn;
+                        Machine.Fanin.arrive fan;
                         decr outstanding;
                         if !outstanding = 0 then begin
-                          adopt_cause ctx cjn;
+                          Machine.Fanin.adopt fan;
                           Ivar.fill done_iv ~time ()
                         end))
                 :: !parts
@@ -637,7 +614,7 @@ let invalidate_batch ctx metas =
 let forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered =
   let home = meta.Store.home in
   let outstanding = ref 0 in
-  let cjn = ref (-1) in
+  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   Store.iter_sharers meta ~except:n (fun s ->
       if s <> home then incr outstanding);
   if !outstanding = 0 then all_delivered ~time
@@ -653,10 +630,10 @@ let forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered =
                       if c.Store.cstate = Store.Invalid then
                         c.Store.cstate <- Store.Shared)
               | None -> ());
-              merge_cause ctx cjn;
+              Machine.Fanin.arrive fan;
               decr outstanding;
               if !outstanding = 0 then begin
-                adopt_cause ctx cjn;
+                Machine.Fanin.adopt fan;
                 all_delivered ~time
               end))
 
@@ -703,7 +680,7 @@ let push_to ctx meta ~dsts =
   (* When the writer is the home, the master is already fresh (aliasing)
      and only remote consumers appear in [remote_targets]. *)
   let outstanding = ref (List.length remote_targets) in
-  let cjn = ref (-1) in
+  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   if !outstanding = 0 then Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
   else
     List.iter
@@ -726,10 +703,10 @@ let push_to ctx meta ~dsts =
                      c.Store.cstate <- Store.Shared)
              end);
             Dir.add meta.Store.dir.Store.sharers dst;
-            merge_cause ctx cjn;
+            Machine.Fanin.arrive fan;
             decr outstanding;
             if !outstanding = 0 then begin
-              adopt_cause ctx cjn;
+              Machine.Fanin.adopt fan;
               Ivar.fill done_iv ~time ()
             end))
       remote_targets;
@@ -751,7 +728,7 @@ let push_to_batch ctx items =
   let n = node ctx in
   let done_iv = Ivar.create () in
   let outstanding = ref 0 in
-  let cjn = ref (-1) in
+  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   let parts = ref [] in
   let st = stats ctx in
   List.iter
@@ -767,10 +744,10 @@ let push_to_batch ctx items =
         (fun dst ->
           incr outstanding;
           let delivered ~time =
-            merge_cause ctx cjn;
+            Machine.Fanin.arrive fan;
             decr outstanding;
             if !outstanding = 0 then begin
-              adopt_cause ctx cjn;
+              Machine.Fanin.adopt fan;
               Ivar.fill done_iv ~time ()
             end
           in

@@ -5,9 +5,11 @@
 module Stats = Ace_engine.Stats
 module Machine = Ace_engine.Machine
 module Trace = Ace_engine.Trace
+module Crit = Ace_engine.Crit
 module Driver = Ace_harness.Driver
 module Trace_read = Ace_obs.Trace_read
 module Analyze = Ace_obs.Analyze
+module Critpath = Ace_obs.Critpath
 
 let em3d_cfg = { Ace_apps.Em3d.default with Ace_apps.Em3d.n_nodes = 64; steps = 2 }
 
@@ -202,6 +204,115 @@ let test_traced_identical () =
   Alcotest.(check bool) "results bit-identical" true
     (plain.Driver.result = traced.Driver.result)
 
+(* ---- pinned instrumentation output ----
+
+   Hex digests of the Chrome trace and the DAG JSON, recorded before the
+   trace and critical-path hooks were routed through one probe interface.
+   The water run below ([ace_demo water --procs 4 --steps 1
+   --phase-protocols NULL,PIPELINE --drop 0.05 --batch]) emits every event
+   name the simulator has: call spans, barrier, barrier_hook, lock.hold,
+   msg, drop, retransmit, ack_piggyback, coalesce and change_protocol->*. *)
+
+let water_cfg : Ace_apps.Water.config =
+  {
+    Ace_apps.Water.core =
+      {
+        Ace_apps.Water.default.Ace_apps.Water.core with
+        Ace_apps.Water_core.n_mol = 32;
+        steps = 1;
+      };
+    phase_protocols = Some ("NULL", "PIPELINE");
+  }
+
+let water_faults =
+  Ace_net.Faults.spec ~drop:0.05 ~dup:0. ~jitter:0.
+    ~seed:Ace_net.Faults.default_seed ()
+
+(* [ace_demo em3d --procs 2 --steps 1 --backend crl] *)
+let crl_em3d_cfg =
+  { Ace_apps.Em3d.default with Ace_apps.Em3d.n_nodes = 200; steps = 1 }
+
+let file_bytes path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
+let dag_bytes c =
+  let b = Buffer.create 4096 in
+  Crit.to_buffer c b;
+  Buffer.contents b
+
+(* One run with the requested recorders attached: the outcome, the trace
+   file's bytes and the DAG JSON's bytes (empty when not recorded). *)
+let recorded ~trace ~crit ~nprocs run =
+  let path = if trace then Some (tmp_trace ()) else None in
+  let c = if crit then Some (Crit.create ~nprocs ()) else None in
+  let out = run ?trace:path ?crit:c () in
+  ( out,
+    Option.fold ~none:"" ~some:file_bytes path,
+    Option.fold ~none:"" ~some:dag_bytes c )
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let test_pinned_water () =
+  let _, tr, dag =
+    recorded ~trace:true ~crit:true ~nprocs:4 (fun ?trace ?crit () ->
+        Driver.run_ace ~faults:water_faults ~batch:true ?trace ?crit ~nprocs:4
+          (module Ace_apps.Water) water_cfg)
+  in
+  Alcotest.(check string) "ace water trace" "c02f09813c95f6de8177e6dc3d7a3d0e"
+    (hex tr);
+  Alcotest.(check string) "ace water DAG" "423e4217421884c39dd7d494242fbed5"
+    (hex dag)
+
+(* The CRL trace is pinned byte for byte. The CRL DAG's op-class kinds are
+   not (its coherence calls are blamed on the op that made them), but the
+   path, its total and the link and processor blame are. *)
+let test_pinned_crl () =
+  let _, tr, _ =
+    recorded ~trace:true ~crit:false ~nprocs:2 (fun ?trace ?crit () ->
+        Driver.run_crl ?trace ?crit ~nprocs:2 (module Ace_apps.Em3d) crl_em3d_cfg)
+  in
+  Alcotest.(check string) "crl em3d trace" "b6b2f920bddff0b3e87452a6e26a0803"
+    (hex tr);
+  let c = Crit.create ~nprocs:2 () in
+  ignore (Driver.run_crl ~crit:c ~nprocs:2 (module Ace_apps.Em3d) crl_em3d_cfg);
+  let dag = Critpath.of_crit c in
+  let bp = Critpath.blamed_path dag in
+  Alcotest.(check int) "nodes" 2943 (Critpath.n_nodes dag);
+  Alcotest.(check int) "path steps" 1723 (List.length bp);
+  Alcotest.(check (float 0.)) "blamed" 1033787. (Critpath.total_blame bp);
+  Alcotest.(check (list (pair (pair int int) (float 0.))))
+    "link blame"
+    [ ((1, 0), 116584.); ((0, 1), 112968.) ]
+    (Critpath.blame_by_link dag bp);
+  Alcotest.(check (list (pair int (float 0.))))
+    "processor blame"
+    [ (0, 710114.); (1, 323673.) ]
+    (Critpath.blame_by_node dag bp)
+
+(* Trace and critical-path recording attached together: each recorder's
+   output equals its solo run's, and simulated output equals the plain
+   run's. *)
+let test_recorders_together () =
+  let check name ~nprocs run =
+    let plain, _, _ = recorded ~trace:false ~crit:false ~nprocs run in
+    let _, tr_only, _ = recorded ~trace:true ~crit:false ~nprocs run in
+    let _, _, dag_only = recorded ~trace:false ~crit:true ~nprocs run in
+    let both, tr, dag = recorded ~trace:true ~crit:true ~nprocs run in
+    Alcotest.(check bool) (name ^ ": seconds") true
+      (plain.Driver.seconds = both.Driver.seconds);
+    Alcotest.(check bool) (name ^ ": result") true
+      (plain.Driver.result = both.Driver.result);
+    Alcotest.(check bool) (name ^ ": trace bytes") true (String.equal tr_only tr);
+    Alcotest.(check bool) (name ^ ": DAG bytes") true (String.equal dag_only dag)
+  in
+  check "ace" ~nprocs:4 (fun ?trace ?crit () ->
+      Driver.run_ace ~faults:water_faults ~batch:true ?trace ?crit ~nprocs:4
+        (module Ace_apps.Water) water_cfg);
+  check "crl" ~nprocs:4 (fun ?trace ?crit () ->
+      Driver.run_crl ?trace ?crit ~nprocs:4 (module Ace_apps.Em3d) em3d_cfg)
+
 (* ---- analyses on a hand-built trace with known answers ---- *)
 
 let test_analyze_synthetic () =
@@ -291,6 +402,13 @@ let () =
           Alcotest.test_case "lock holds" `Quick test_lock_holds;
           Alcotest.test_case "crl trace" `Quick test_crl_trace;
           Alcotest.test_case "tracing is invisible" `Quick test_traced_identical;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "ace water trace and DAG" `Quick test_pinned_water;
+          Alcotest.test_case "crl em3d trace and DAG" `Quick test_pinned_crl;
+          Alcotest.test_case "trace and critpath together" `Quick
+            test_recorders_together;
         ] );
       ( "analyze",
         [
