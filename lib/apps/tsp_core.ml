@@ -114,5 +114,3 @@ let reference cfg =
   let nodes = ref 0 in
   Array.iter (fun job -> run_job d ~job ~best ~nodes) (jobs cfg);
   !best
-
-let node_cycles = 60. (* bound computation per expanded node *)

@@ -360,11 +360,6 @@ let set_head c ~proc v =
 
 let time_of c i = if i < 0 then 0. else c.time.(i)
 let pred_of c i = c.pred.(i)
-let pred2_of c i = c.pred2.(i)
-let kind_of c i = c.kind.(i)
-let a_of c i = c.a.(i)
-let b_of c i = c.b.(i)
-let cost_of c i = c.cost.(i)
 let heads_arr c = Array.copy c.heads
 
 let dump c =

@@ -34,17 +34,9 @@ val kind_name : int -> string
 (** All interned kind names, indexed by kind id. *)
 val kinds : unit -> string array
 
-val k_root : int
-val k_app : int
 val k_msg : int
-val k_wake : int
-val k_join : int
 val k_barrier : int
 val k_send_ovh : int
-
-(** A coalesced compute run of mixed activities; the exact per-activity
-    cost split lives in the breakdown pool ({!bd_count} et al.). *)
-val k_seg : int
 
 (** {2 Recording} — called by the simulator's hooks. *)
 
@@ -114,11 +106,6 @@ val set_activity : t -> proc:int -> kind:int -> space:int -> unit
 
 val time_of : t -> int -> float
 val pred_of : t -> int -> int
-val pred2_of : t -> int -> int
-val kind_of : t -> int -> int
-val a_of : t -> int -> int
-val b_of : t -> int -> int
-val cost_of : t -> int -> float
 val heads_arr : t -> int array
 
 (** Exact-length bulk copies of the node arrays
@@ -128,11 +115,6 @@ val dump :
   t ->
   int array * int array * int array * int array * int array * float array
   * float array
-
-(** Flush every still-open mixed node's split to the breakdown pool; call
-    before reading the pool or node kinds at the end of recording
-    (serialization does it internally). *)
-val flush_open : t -> unit
 
 (** The breakdown pool: per-activity splits of mixed ("seg") nodes, as
     rows (node, kind, space, cost). *)

@@ -17,10 +17,44 @@ type t = {
       (* causal-DAG recorder, same contract: None = one field read *)
 }
 
-and proc = { id : int; mutable clock : float; machine : t }
+and proc = { id : int; mutable clock : float; machine : t; fiber : fiber }
 
-type _ Effect.t += Advance : proc * float -> unit Effect.t
+(* A proc's fiber switch, built once with the proc so that an advance
+   allocates nothing of its own: the effect value, the handler's answer,
+   and the resume thunk are all preallocated, and the captured
+   continuation (with the DAG cause to restore) is parked here until the
+   resume event runs. *)
+and fiber = {
+  advance : unit Effect.t; (* [Advance p] *)
+  on_advance : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  resume : unit -> unit;
+  mutable parked : (unit, unit) Effect.Deep.continuation;
+      (* [unparked] until the first park *)
+  mutable cause : int; (* DAG head at the park, when a recorder is on *)
+}
+
+type _ Effect.t += Advance : proc -> unit Effect.t
 type _ Effect.t += Await : proc * 'a Ivar.t -> 'a Effect.t
+
+(* The initial value of a park slot: a real continuation, captured once
+   and never resumed, so that parking stores the captured continuation
+   itself instead of allocating an option around it on every advance. *)
+type _ Effect.t += Unparked : unit Effect.t
+
+let unparked : (unit, unit) Effect.Deep.continuation =
+  let slot : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Unparked
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Unparked -> Some (fun k -> slot := Some k)
+          | _ -> None);
+    };
+  Option.get !slot
 
 let create ?policy ~nprocs () =
   if nprocs <= 0 then invalid_arg "Machine.create: nprocs <= 0";
@@ -54,10 +88,47 @@ let schedule t ~time f =
   | None -> Event_queue.push t.events ~time f
   | Some c -> schedule_cause t c ~time ~cause:(Crit.export_cur c) f
 
+(* The clock bump and the DAG's compute interval happen before the
+   perform, leaving the handler only the park: nothing runs in between, so
+   the order is the same as doing them in the handler. *)
 let advance p cycles =
   if cycles < 0. || not (Float.is_finite cycles) then
     invalid_arg "Machine.advance: bad cycle count";
-  if cycles > 0. then Effect.perform (Advance (p, cycles))
+  if cycles > 0. then begin
+    p.clock <- p.clock +. cycles;
+    (match p.machine.crit with
+    | None -> ()
+    | Some c ->
+        Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
+        p.fiber.cause <- Crit.head c p.id);
+    Effect.perform p.fiber.advance
+  end
+
+let park p k =
+  p.fiber.parked <- k;
+  Event_queue.push p.machine.events ~time:p.clock p.fiber.resume
+
+(* The slot keeps the spent continuation until the next park: a resumed
+   continuation holds no stack, and clearing it would cost a write barrier
+   on every advance. *)
+let resume p =
+  (match p.machine.crit with
+  | None -> ()
+  | Some c -> Crit.set_cur c p.fiber.cause);
+  Effect.Deep.continue p.fiber.parked ()
+
+let make_proc t ~id ~clock =
+  let rec p = { id; clock; machine = t; fiber }
+  and fiber =
+    {
+      advance = Advance p;
+      on_advance = Some (fun k -> park p k);
+      resume = (fun () -> resume p);
+      parked = unparked;
+      cause = -1;
+    }
+  in
+  p
 
 (* ---- instrumentation probes: each feeds whichever recorders are
    attached, and is one field read per recorder when none is ---- *)
@@ -153,8 +224,8 @@ end
 let await p iv = Effect.perform (Await (p, iv))
 
 (* Run one fiber under a deep handler. The handler turns Advance into a
-   rescheduled resumption (so processors interleave in timestamp order) and
-   Await into an ivar waiter. *)
+   parked continuation with a rescheduled resumption (so processors
+   interleave in timestamp order) and Await into an ivar waiter. *)
 let spawn_fiber t (body : unit -> unit) =
   let open Effect.Deep in
   t.live <- t.live + 1;
@@ -163,22 +234,10 @@ let spawn_fiber t (body : unit -> unit) =
       retc = (fun () -> t.live <- t.live - 1);
       exnc = raise;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Advance (p, cycles) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  p.clock <- p.clock +. cycles;
-                  match t.crit with
-                  | None ->
-                      Event_queue.push t.events ~time:p.clock (fun () ->
-                          continue k ())
-                  | Some c ->
-                      Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
-                      let cause = Crit.head c p.id in
-                      Event_queue.push t.events ~time:p.clock (fun () ->
-                          Crit.set_cur c cause;
-                          continue k ()))
+          | Advance p -> p.fiber.on_advance
           | Await (p, iv) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -221,7 +280,9 @@ let spawn_fiber t (body : unit -> unit) =
     }
 
 let run t program =
-  let procs = Array.init t.nprocs (fun id -> { id; clock = t.max_clock; machine = t }) in
+  let procs =
+    Array.init t.nprocs (fun id -> make_proc t ~id ~clock:t.max_clock)
+  in
   let finished = Array.make t.nprocs false in
   let spawn p () =
     spawn_fiber t (fun () ->

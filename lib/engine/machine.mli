@@ -9,10 +9,14 @@
 
 type t
 
+(** A processor's fiber-switch state, private to the engine. *)
+type fiber
+
 type proc = private {
   id : int;
   mutable clock : float; (* virtual cycles *)
   machine : t;
+  fiber : fiber;
 }
 
 (** The simulation engine. There is one: the single-queue, single-domain

@@ -93,11 +93,6 @@ let hist name ~limits =
 type t = {
   mutable slots : float array;
   mutable fams : float array array; (* family id -> cells, grown on demand *)
-  mutable fsparse : (int, float) Hashtbl.t option array;
-      (* family id -> sparse cells, for families whose index space is huge
-         (nprocs² link ids) but whose populated set is small: memory is
-         proportional to the cells actually touched. A family may hold both
-         dense and sparse cells; readers sum them. *)
   mutable hists : float array array; (* hist id -> bucket counts (limits+1) *)
   mutable hlimits : float array array;
       (* per-instance cache of each histogram's (immutable) limits: filled
@@ -112,7 +107,6 @@ let create () =
   {
     slots = Array.make (max 16 ids) 0.;
     fams = Array.make fams [||];
-    fsparse = Array.make fams None;
     hists = Array.make hists [||];
     hlimits = Array.make hists [||];
   }
@@ -160,36 +154,6 @@ let add_dim t f ix v =
 
 let incr_dim t f ix = add_dim t f ix 1.
 
-(* ---- sparse family cells ---- *)
-
-let sparse_table t f =
-  if f >= Array.length t.fsparse then begin
-    let a = Array.make (f + 1) None in
-    Array.blit t.fsparse 0 a 0 (Array.length t.fsparse);
-    t.fsparse <- a
-  end;
-  match t.fsparse.(f) with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 16 in
-      t.fsparse.(f) <- Some h;
-      h
-
-let add_dim_sparse t f ix v =
-  if ix < 0 then invalid_arg "Stats.add_dim_sparse: negative index";
-  let h = sparse_table t f in
-  let cur = match Hashtbl.find_opt h ix with Some c -> c | None -> 0. in
-  Hashtbl.replace h ix (cur +. v)
-
-let incr_dim_sparse t f ix = add_dim_sparse t f ix 1.
-
-let get_dim_sparse t f ix =
-  if f >= Array.length t.fsparse then 0.
-  else
-    match t.fsparse.(f) with
-    | None -> 0.
-    | Some h -> ( match Hashtbl.find_opt h ix with Some v -> v | None -> 0.)
-
 (* Hot-path escape hatch: grow family [f] to at least [size] cells and hand
    the caller the live array for direct indexing. The reference stays valid
    while the family never grows past [size] — callers fix the dimension up
@@ -201,50 +165,21 @@ let dim_open t f ~size =
   t.fams.(f)
 
 let get_dim t f ix =
-  let dense =
-    if f >= Array.length t.fams then 0.
-    else
-      let cells = t.fams.(f) in
-      if ix < 0 || ix >= Array.length cells then 0. else cells.(ix)
-  in
-  dense +. get_dim_sparse t f ix
+  if f >= Array.length t.fams then 0.
+  else
+    let cells = t.fams.(f) in
+    if ix < 0 || ix >= Array.length cells then 0. else cells.(ix)
 
 let dim_cells t f =
-  let dense =
-    if f >= Array.length t.fams then []
-    else begin
-      let cells = t.fams.(f) in
-      let acc = ref [] in
-      for ix = Array.length cells - 1 downto 0 do
-        if cells.(ix) <> 0. then acc := (ix, cells.(ix)) :: !acc
-      done;
-      !acc
-    end
-  in
-  let sparse =
-    if f >= Array.length t.fsparse then []
-    else
-      match t.fsparse.(f) with
-      | None -> []
-      | Some h ->
-          Hashtbl.fold
-            (fun ix v acc -> if v <> 0. then (ix, v) :: acc else acc)
-            h []
-  in
-  match sparse with
-  | [] -> dense
-  | _ ->
-      (* merge the two populations, summing cells present in both *)
-      let all =
-        List.sort (fun (a, _) (b, _) -> compare a b) (dense @ sparse)
-      in
-      let rec merge = function
-        | (i1, v1) :: (i2, v2) :: rest when i1 = i2 ->
-            merge ((i1, v1 +. v2) :: rest)
-        | cell :: rest -> cell :: merge rest
-        | [] -> []
-      in
-      merge all
+  if f >= Array.length t.fams then []
+  else begin
+    let cells = t.fams.(f) in
+    let acc = ref [] in
+    for ix = Array.length cells - 1 downto 0 do
+      if cells.(ix) <> 0. then acc := (ix, cells.(ix)) :: !acc
+    done;
+    !acc
+  end
 
 (* ---- histograms ---- *)
 
@@ -293,9 +228,6 @@ let hist_live t h =
 let reset t =
   Array.fill t.slots 0 (Array.length t.slots) 0.;
   Array.iter (fun cells -> Array.fill cells 0 (Array.length cells) 0.) t.fams;
-  Array.iter
-    (function Some h -> Hashtbl.reset h | None -> ())
-    t.fsparse;
   Array.iter (fun counts -> Array.fill counts 0 (Array.length counts) 0.) t.hists
 
 (* Sum every counter, family cell, and histogram bucket of [src] into
@@ -310,15 +242,6 @@ let merge_into dst src =
     (fun f cells ->
       Array.iteri (fun ix v -> if v <> 0. then add_dim dst f ix v) cells)
     src.fams;
-  Array.iteri
-    (fun f tbl ->
-      match tbl with
-      | None -> ()
-      | Some h ->
-          Hashtbl.iter
-            (fun ix v -> if v <> 0. then add_dim_sparse dst f ix v)
-            h)
-    src.fsparse;
   Array.iteri
     (fun h counts ->
       if Array.exists (fun c -> c <> 0.) counts then begin

@@ -49,16 +49,6 @@ val add_dim : t -> fam -> int -> float -> unit
 val incr_dim : t -> fam -> int -> unit
 val get_dim : t -> fam -> int -> float
 
-(** Sparse variants of {!add_dim}/{!incr_dim} for families whose index
-    space is huge (e.g. nprocs² link ids) but whose populated set is small:
-    cells live in a per-family hash table, so memory is proportional to the
-    indexes actually touched rather than the largest one. A family may mix
-    dense and sparse cells; {!get_dim}, {!dim_cells} and {!dims_to_list}
-    sum both populations. *)
-val add_dim_sparse : t -> fam -> int -> float -> unit
-
-val incr_dim_sparse : t -> fam -> int -> unit
-
 (** The nonzero [(index, value)] cells of family [f], in index order. *)
 val dim_cells : t -> fam -> (int * float) list
 
@@ -95,12 +85,5 @@ val merge_into : t -> t -> unit
 
 (** All scalar counters with a nonzero value, sorted by name. *)
 val to_list : t -> (string * float) list
-
-(** All families with at least one nonzero cell, sorted by name; each with
-    its nonzero [(index, value)] cells in index order. *)
-val dims_to_list : t -> (string * (int * float) list) list
-
-(** All histograms with at least one observation, sorted by name. *)
-val hists_to_list : t -> (string * (float array * float array)) list
 
 val pp : Format.formatter -> t -> unit

@@ -36,8 +36,6 @@ type t = {
 let create () =
   { evs = [||]; n = 0; next_id = 0; open_locks = Hashtbl.create 32 }
 
-let n_events t = t.n
-
 let dummy =
   { name = ""; cat = ""; ph = 'i'; ts = 0.; dur = 0.; tid = 0; id = -1; args = [] }
 

@@ -22,9 +22,6 @@ type t
 
 val create : unit -> t
 
-(** Number of buffered events. *)
-val n_events : t -> int
-
 (** A completed span on processor [tid]: [[ts, ts + dur]]. *)
 val span :
   t -> name:string -> cat:string -> tid:int -> ts:float -> dur:float ->

@@ -20,20 +20,15 @@ let hist_latency =
   Stats.hist "net.latency_cycles"
     ~limits:[| 50.; 100.; 200.; 400.; 800.; 1600.; 3200.; 6400. |]
 
-(* Per-link (src, dst) families index an nprocs² space. Up to this many
-   nodes the cells stay a dense pre-opened array — one store per message,
-   and byte-identical layout to the historical accounting at the paper's 32
-   nodes. Past it the nprocs² array would dominate the simulation's memory
-   (1024 nodes → 8 MiB per family), so cells go to Stats' sparse tables,
-   sized by the links actually exercised. *)
-let dense_links_limit = 256
-
 (* The accounting: logical-send counters plus live Stats cell arrays,
    opened once so the per-message accounting is plain array stores
    (Am.send is the simulator's hottest path; the dimensions are fixed at
    nprocs / nprocs^2 so the references never go stale — see
    Stats.dim_open). Built on the first send, so a machine that is set up
-   but never sends does not allocate the nprocs^2 link array. *)
+   but never sends does not allocate the nprocs^2 link array. The link
+   array stays dense at every size: each large run opens with an allgather
+   that touches all nprocs^2 links, so a table keyed by link would hold as
+   many cells, each a boxed entry, as the 8 MiB array at 1024 nodes. *)
 type acct = {
   stats : Stats.t;
   mutable messages : int; (* logical sends: one per [send] call *)
@@ -42,7 +37,7 @@ type acct = {
   msgs_dst : float array;
   bytes_src : float array;
   bytes_dst : float array;
-  msgs_link : float array; (* [||] above dense_links_limit: sparse cells *)
+  msgs_link : float array;
   lat_limits : float array;
   lat_counts : float array;
 }
@@ -56,12 +51,6 @@ type t = {
   mutable acct : acct option;
 }
 
-(* Bump a per-link family cell in whichever representation this machine
-   size selected (cold paths: drops, coalescing). *)
-let add_link t stats f link v =
-  if t.nprocs <= dense_links_limit then Stats.add_dim stats f link v
-  else Stats.add_dim_sparse stats f link v
-
 let mk_acct nprocs stats =
   let lat_limits, lat_counts = Stats.hist_live stats hist_latency in
   {
@@ -72,10 +61,7 @@ let mk_acct nprocs stats =
     msgs_dst = Stats.dim_open stats fam_msgs_dst ~size:nprocs;
     bytes_src = Stats.dim_open stats fam_bytes_src ~size:nprocs;
     bytes_dst = Stats.dim_open stats fam_bytes_dst ~size:nprocs;
-    msgs_link =
-      (if nprocs <= dense_links_limit then
-         Stats.dim_open stats fam_msgs_link ~size:(nprocs * nprocs)
-       else [||]);
+    msgs_link = Stats.dim_open stats fam_msgs_link ~size:(nprocs * nprocs);
     lat_limits;
     lat_counts;
   }
@@ -120,9 +106,7 @@ let deliver t ~now ~src ~dst ~bytes ~fbytes ~extra handler =
   a.bytes_src.(src) <- a.bytes_src.(src) +. fbytes;
   a.bytes_dst.(dst) <- a.bytes_dst.(dst) +. fbytes;
   let link = (src * t.nprocs) + dst in
-  if Array.length a.msgs_link > 0 then
-    a.msgs_link.(link) <- a.msgs_link.(link) +. 1.
-  else Stats.incr_dim_sparse stats fam_msgs_link link;
+  a.msgs_link.(link) <- a.msgs_link.(link) +. 1.;
   let arrival =
     now +. Cost_model.transit t.cost ~bytes
     +. t.cost.Cost_model.am_recv_overhead +. extra
@@ -143,7 +127,7 @@ let emit t ~now ~src ~dst ~bytes handler =
       let stats = Machine.stats t.machine in
       if fate.Faults.dropped then begin
         Stats.incr_id stats sid_dropped;
-        add_link t stats fam_drop_link ((src * t.nprocs) + dst) 1.;
+        Stats.incr_dim stats fam_drop_link ((src * t.nprocs) + dst);
         Machine.instant t.machine ~name:"drop" ~cat:"net" ~tid:src ~ts:now
           [ ("dst", dst); ("bytes", bytes) ]
       end;
@@ -203,7 +187,7 @@ let coalesce t ~now ~src parts =
       let k = List.length group in
       if k > 1 then begin
         Stats.add_id stats sid_coalesced (float_of_int (k - 1));
-        add_link t stats fam_coalesced_link
+        Stats.add_dim stats fam_coalesced_link
           ((src * nprocs) + dst)
           (float_of_int (k - 1));
         Machine.instant t.machine ~name:"coalesce" ~cat:"net" ~tid:src ~ts:now

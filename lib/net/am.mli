@@ -25,12 +25,6 @@
 
 type t
 
-(** Machine sizes up to this keep per-link (nprocs²-indexed) stat families
-    in dense pre-opened arrays (the historical layout, one store per
-    message); above it cells go to {!Ace_engine.Stats.add_dim_sparse}
-    tables sized by the links actually exercised. *)
-val dense_links_limit : int
-
 val create : Ace_engine.Machine.t -> Cost_model.t -> t
 
 val machine : t -> Ace_engine.Machine.t

@@ -235,9 +235,7 @@ let rec arm t ch m ~at =
         else begin
           m.attempts <- m.attempts + 1;
           Stats.incr_id stats sid_retransmits;
-          (if t.nprocs <= Am.dense_links_limit then Stats.incr_dim
-           else Stats.incr_dim_sparse)
-            stats fam_retrans_link
+          Stats.incr_dim stats fam_retrans_link
             ((ch.c_src * t.nprocs) + ch.c_dst);
           Machine.instant (Am.machine t.am) ~name:"retransmit" ~cat:"net"
             ~tid:ch.c_src ~ts:at

@@ -33,11 +33,6 @@
 
 type t
 
-val default_rto : float
-val default_backoff : float
-val default_max_retries : int
-val default_ack_delay : float
-
 (** [create ?rto ?backoff ?max_retries ?ack_delay am]: [rto] is the initial
     retransmit timeout in cycles (armed after every transmission), scaled
     by [backoff] after each retransmission; after [max_retries] failed

@@ -23,9 +23,6 @@ type dag = {
 val n_nodes : dag -> int
 val kind_name : dag -> int -> string
 
-(** Kind id for a name in this dag's table, -1 if absent. *)
-val kind_id : dag -> string -> int
-
 (** {2 Construction} *)
 
 (** Snapshot a live recorder. *)

@@ -836,10 +836,6 @@ let write_home_async ctx meta =
   end;
   done_iv
 
-let write_home ctx meta =
-  drain ctx;
-  Machine.await ctx.proc (write_home_async ctx meta)
-
 (* Queued locks serialized at the region's home. Grant closures either send
    a grant message (remote waiter) or fill the local waiter's ivar. *)
 let home_lock ctx meta =

@@ -19,8 +19,8 @@ type ctx = {
   node : int;  (** [proc.id], cached for the access hot path *)
   mutable lcache : (Store.meta * Store.copy) option;
       (** one-slot memo of the last local-copy lookup (see [local_copy]).
-          Dropped-copy legs must call {!reset_lcache} or the memo serves a
-          stale, orphaned entry. *)
+          Dropped-copy legs reset it or the memo serves a stale, orphaned
+          entry. *)
   mutable wpending : wpend list;
       (** write-combining queue, newest first; always empty with batching
           off. Every blocking entry point drains it before waiting. *)
@@ -28,10 +28,6 @@ type ctx = {
 
 val make_ctx : Ace_net.Reliable.t -> Store.t -> Ace_engine.Machine.proc -> ctx
 val node : ctx -> int
-
-(** Invalidate the local-copy memo. Required after any [Store.drop_copy] on
-    this node (the batched invalidation leg calls it itself). *)
-val reset_lcache : ctx -> unit
 
 (** Size in bytes of a small control message. *)
 val ctl_bytes : int
@@ -82,9 +78,6 @@ val push_to : ctx -> Store.meta -> dsts:int list -> unit Ace_engine.Ivar.t
 
 (** Copy the master into the local buffer without joining the sharer set. *)
 val read_home : ctx -> Store.meta -> unit
-
-(** Blocking master update from the local buffer. *)
-val write_home : ctx -> Store.meta -> unit
 
 (** Non-blocking master update; fills on home arrival. *)
 val write_home_async : ctx -> Store.meta -> unit Ace_engine.Ivar.t

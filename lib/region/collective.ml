@@ -8,26 +8,36 @@
    removed once the consumer has taken the value. Live state is therefore
    bounded by the number of in-flight deliveries, where the old
    [Array.init nprocs] per op held nprocs ivars for every op ever started —
-   nprocs² of them across an allgather. *)
+   nprocs² of them across an allgather. The table is keyed on the int
+   [op * nprocs + consumer] with an identity hash: an allgather on 1024
+   nodes takes a million find/add/remove rounds, so the generic polymorphic
+   hash would dominate them. *)
 
 module Machine = Ace_engine.Machine
 module Ivar = Ace_engine.Ivar
 module Net = Ace_net.Reliable
 
+module Slots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
 type t = {
-  slots : (int, int array Ivar.t) Hashtbl.t; (* op * nprocs + consumer *)
+  slots : int array Ivar.t Slots.t; (* op * nprocs + consumer *)
   nprocs : int;
 }
 
-let create ~nprocs = { slots = Hashtbl.create 16; nprocs }
+let create ~nprocs = { slots = Slots.create 16; nprocs }
 
 let slot t ~op ~node =
   let key = (op * t.nprocs) + node in
-  match Hashtbl.find_opt t.slots key with
+  match Slots.find_opt t.slots key with
   | Some v -> v
   | None ->
       let v = Ivar.create () in
-      Hashtbl.add t.slots key v;
+      Slots.add t.slots key v;
       v
 
 (* [bcast t bctx ~ctr ~root f]: the root evaluates [f ()] and sends the
@@ -51,7 +61,7 @@ let bcast t (bctx : Blocks.ctx) ~ctr ~root f =
   else begin
     let v = slot t ~op ~node:me in
     let arr = Machine.await p v in
-    Hashtbl.remove t.slots ((op * t.nprocs) + me);
+    Slots.remove t.slots ((op * t.nprocs) + me);
     arr
   end
 

@@ -78,10 +78,6 @@ val bytes : meta -> int
     end of a run yields the run's peak. *)
 val dir_words : t -> int
 
-(** [iter_copies meta f] applies [f node copy] to every live cache entry
-    (order unspecified — host-side accounting and assertions only). *)
-val iter_copies : meta -> (int -> copy -> unit) -> unit
-
 (** The node's cache entry, creating an [Invalid] zeroed one if absent.
     Returns whether it already existed (a "map hit"). *)
 val ensure_copy : meta -> node:int -> copy * bool

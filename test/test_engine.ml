@@ -5,6 +5,7 @@ module Ivar = Ace_engine.Ivar
 module Machine = Ace_engine.Machine
 module Rng = Ace_engine.Det_rng
 module Stats = Ace_engine.Stats
+module Crit = Ace_engine.Crit
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -306,6 +307,58 @@ let machine_advance_and_time () =
       Machine.advance p (float_of_int ((10 * p.Machine.id) + 10)));
   check "time is max clock" true (Machine.time m = 20.)
 
+(* Machine.advance is the fiber switch every simulated compute interval
+   pays for. Two procs interleave (equal steps, so every advance parks one
+   fiber and resumes the other); beyond the continuation the runtime
+   captures, the switch may allocate only a few words. *)
+let machine_advance_allocation () =
+  let n = 200_000 in
+  let m = Machine.create ~nprocs:2 () in
+  let w0 = Gc.minor_words () in
+  Machine.run m (fun p ->
+      for _ = 1 to n do
+        Machine.advance p 1.
+      done);
+  let per = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
+  check "clocks advanced" true (Machine.time m = float_of_int n);
+  check
+    (Printf.sprintf "%.2f minor words per advance <= 12" per)
+    true (per <= 12.)
+
+(* A run with a DAG recorder attached: compute intervals on both chains,
+   an ivar filled ahead of its await but with a later fill time, one
+   awaited before it is filled, a barrier, and a second phase. The
+   serialized DAG is pinned, so moving the clock bump and the causal
+   bookkeeping around the fiber switch cannot reorder or re-cause a node. *)
+let machine_crit_dag_pinned () =
+  let m = Machine.create ~nprocs:2 () in
+  let c = Crit.create ~nprocs:2 () in
+  Machine.set_crit m (Some c);
+  let b = Machine.Barrier.create m ~cost:(fun _ -> 3.) in
+  let early = Ivar.create () and late = Ivar.create () in
+  Machine.run m (fun p ->
+      for i = 1 to 5 do
+        Machine.advance p (float_of_int (i * (p.Machine.id + 1)))
+      done;
+      if p.Machine.id = 0 then begin
+        (* at 15; proc 1 reaches its awaits at 30 *)
+        Machine.schedule m ~time:22. (fun () -> Ivar.fill early ~time:40. 1);
+        Machine.schedule m ~time:55. (fun () -> Ivar.fill late ~time:55. 2)
+      end
+      else begin
+        check "early value" true (Machine.await p early = 1);
+        check "late value" true (Machine.await p late = 2)
+      end;
+      Machine.Barrier.wait b p;
+      Machine.advance p 2.);
+  Machine.run m (fun p -> Machine.advance p (float_of_int (4 - p.Machine.id)));
+  Machine.set_crit m None;
+  let buf = Buffer.create 1024 in
+  Crit.to_buffer c buf;
+  Alcotest.(check string)
+    "DAG md5" "5559ab67888479a8667e16706d6a9e83"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let machine_barrier_sync () =
   let m = Machine.create ~nprocs:4 () in
   let b = Machine.Barrier.create m ~cost:(fun _ -> 5.) in
@@ -589,6 +642,9 @@ let () =
       ( "machine",
         [
           Alcotest.test_case "advance/time" `Quick machine_advance_and_time;
+          Alcotest.test_case "advance allocation" `Quick
+            machine_advance_allocation;
+          Alcotest.test_case "crit DAG pinned" `Quick machine_crit_dag_pinned;
           Alcotest.test_case "barrier sync" `Quick machine_barrier_sync;
           Alcotest.test_case "barrier reuse" `Quick machine_barrier_reusable;
           Alcotest.test_case "await ordering" `Quick machine_await_fill_ordering;

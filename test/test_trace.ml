@@ -112,6 +112,40 @@ let test_net_dims_sum () =
     "latency histogram counts every message" total
     (Array.fold_left ( +. ) 0. counts)
 
+(* Per-link cells at a size past the old dense/sparse switch (256 nodes):
+   one allgather is P rooted broadcasts, so every ordered pair of distinct
+   nodes carries exactly one message. *)
+let test_net_links_300 () =
+  let nprocs = 300 in
+  let rt = Ace_runtime.Runtime.create ~nprocs () in
+  ignore (Ace_runtime.Runtime.new_space rt "SC");
+  Ace_runtime.Runtime.run rt (fun ctx ->
+      let me = Ace_runtime.Ops.me ctx in
+      let parts = Ace_runtime.Ops.allgather ctx [| me |] in
+      Array.iteri (fun p part -> assert (part = [| p |])) parts);
+  let st = Machine.stats (Ace_runtime.Runtime.machine rt) in
+  let total = Stats.get st "net.messages" in
+  Alcotest.(check (float 0.))
+    "one message per ordered pair"
+    (float_of_int (nprocs * (nprocs - 1)))
+    total;
+  let sum f =
+    List.fold_left (fun a (_, v) -> a +. v) 0. (Stats.dim_cells st (Stats.fam f))
+  in
+  Alcotest.(check (float 0.)) "by_link sums to total" total (sum "net.msgs.by_link");
+  Alcotest.(check (float 0.)) "by_src sums to total" total (sum "net.msgs.by_src");
+  Alcotest.(check (float 0.)) "by_dst sums to total" total (sum "net.msgs.by_dst");
+  let link = Stats.fam "net.msgs.by_link" in
+  let bad = ref [] in
+  for src = 0 to nprocs - 1 do
+    for dst = 0 to nprocs - 1 do
+      let want = if src = dst then 0. else 1. in
+      if Stats.get_dim st link ((src * nprocs) + dst) <> want then
+        bad := (src, dst) :: !bad
+    done
+  done;
+  Alcotest.(check (list (pair int int))) "every link cell" [] (List.rev !bad)
+
 (* ---- the trace file: well-formed, per-proc rows, expected span kinds ---- *)
 
 let test_trace_file () =
@@ -393,6 +427,7 @@ let () =
           Alcotest.test_case "families" `Quick test_fam;
           Alcotest.test_case "late registration" `Quick test_late_registration;
           Alcotest.test_case "net dims sum" `Quick test_net_dims_sum;
+          Alcotest.test_case "net links at 300 nodes" `Quick test_net_links_300;
         ] );
       ( "am",
         [ Alcotest.test_case "send validation" `Quick test_send_validation ] );
