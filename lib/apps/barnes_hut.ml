@@ -111,6 +111,9 @@ module Make (D : Ace_region.Dsm_intf.S) = struct
   let run cfg (ctx : D.ctx) =
     let me = D.me ctx and nprocs = D.nprocs ctx in
     let n = cfg.n_bodies in
+    (* Built per processor, not shared through [Input_memo]: each step
+       overwrites these arrays with the bodies read back and the
+       velocities integrated. *)
     let px, py, pz, vx, vy, vz, m = init cfg in
     let lo = me * n / nprocs and hi = (me + 1) * n / nprocs in
     (* one region per body: x, y, z, mass *)

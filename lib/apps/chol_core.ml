@@ -49,6 +49,14 @@ let generate cfg =
   done;
   blocks
 
+(* The input as the SPMD program sees it: [generate cfg], built once per
+   domain and shared by every simulated processor, which only reads it.
+   [reference] and [residual] factor or compare against a copy of their
+   own, so they keep calling [generate]. *)
+let input_memo = Input_memo.create ()
+
+let input cfg = Input_memo.get input_memo cfg generate
+
 (* In-place Cholesky of a diagonal block: A := L with L lower triangular,
    L L^T = A. Upper strictly-triangular entries are zeroed. *)
 let potrf ~b a =

@@ -35,7 +35,7 @@ module Make (D : Ace_region.Dsm_intf.S) = struct
     let c = cfg.core in
     let me = D.me ctx and nprocs = D.nprocs ctx in
     let owner j = j mod nprocs in
-    let blocks = Chol_core.generate c in
+    let blocks = Chol_core.input c in
     (* Every block (i, j) is a region homed at owner(j). Owners allocate and
        initialize their columns, then rids are exchanged. *)
     let my_rids = ref [] in

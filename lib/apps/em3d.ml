@@ -70,22 +70,13 @@ let generate_uncached cfg ~nprocs =
   { nprocs; n; owner; e_nbr = side 1; h_nbr = side 2; weight }
 
 (* The graph is a pure function of (cfg, nprocs) and is read-only once
-   built, but [run] is executed by every simulated processor — without
-   sharing, a 1024-node machine would build 1024 identical copies. A
-   domain-local one-slot memo de-duplicates them (fibers of one simulation
-   all run on one domain; the pool's parallel cells live on separate
-   domains and never share the slot). Simulated output is unaffected. *)
-let graph_memo : (config * int * graph) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   built, but [run] is executed by every simulated processor: the memo
+   keeps a 1024-node machine from building 1024 identical copies. *)
+let graph_memo = Input_memo.create ()
 
 let generate cfg ~nprocs =
-  let memo = Domain.DLS.get graph_memo in
-  match !memo with
-  | Some (c, p, g) when c = cfg && p = nprocs -> g
-  | _ ->
-      let g = generate_uncached cfg ~nprocs in
-      memo := Some (cfg, nprocs, g);
-      g
+  Input_memo.get graph_memo (cfg, nprocs) (fun (cfg, nprocs) ->
+      generate_uncached cfg ~nprocs)
 
 let init_value side i = float_of_int ((side * 31) + i) /. 1000.
 
@@ -170,14 +161,11 @@ module Make (D : Ace_region.Dsm_intf.S) = struct
         D.change_protocol ctx ~space:0 p;
         D.change_protocol ctx ~space:1 p
     | None -> ());
-    (* Pre-map handles (the hand-optimized pattern of §5.3). *)
-    let e_h = Array.map (fun r -> if r >= 0 then Some (D.map ctx r) else None) e_rid in
-    let h_h = Array.map (fun r -> if r >= 0 then Some (D.map ctx r) else None) h_rid in
-    let handle side i =
-      match (if side = 0 then e_h.(i) else h_h.(i)) with
-      | Some h -> h
-      | None -> assert false
-    in
+    (* Pre-map handles (the hand-optimized pattern of §5.3). [unpack]
+       filled every rid, since every node is allocated by its owner. *)
+    let e_h = Array.map (D.map ctx) e_rid in
+    let h_h = Array.map (D.map ctx) h_rid in
+    let handle side i = if side = 0 then e_h.(i) else h_h.(i) in
     let compute ~dst_side ~nbr ~mine =
       List.iter
         (fun (i, _) ->

@@ -90,20 +90,14 @@ let zipf_sample z rng =
    test to check the sampler against the exponent. *)
 let rank1_mass z = z.cdf.(0)
 
-(* The CDF is a pure function of (n, theta) and costs O(n) to build; a
-   domain-local one-slot memo keeps a 1M-key machine from building one
-   per simulated processor (same pattern as em3d's graph memo). *)
-let zipf_memo : (int * float * zipf) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The CDF is a pure function of (n, theta) and costs O(n) to build; the
+   memo keeps a 1M-key machine from building one per simulated
+   processor. *)
+let zipf_memo = Input_memo.create ()
 
 let zipf_for cfg =
-  let memo = Domain.DLS.get zipf_memo in
-  match !memo with
-  | Some (n, th, z) when n = cfg.n_keys && th = cfg.theta -> z
-  | _ ->
-      let z = zipf_make ~n:cfg.n_keys ~theta:cfg.theta in
-      memo := Some (cfg.n_keys, cfg.theta, z);
-      z
+  Input_memo.get zipf_memo (cfg.n_keys, cfg.theta) (fun (n, theta) ->
+      zipf_make ~n ~theta)
 
 (* --- Hot-key churn: an affine permutation of ranks, rotated per era ---- *)
 

@@ -5,7 +5,7 @@ type 'a state =
 (* [cause] is the causal context of the fill (a Crit node id, -1 when no
    recorder was active): a fiber that awaits only after the fill has
    already happened needs the filler's identity to record the
-   cross-processor dependency edge (see Machine's Await handler). *)
+   cross-processor dependency edge (see [Machine.await]). *)
 type 'a t = { mutable state : 'a state; mutable cause : int }
 
 let create () = { state = Empty []; cause = -1 }
@@ -20,7 +20,16 @@ let fill t ~time v =
 
 let cause t = t.cause
 
-let peek t = match t.state with Empty _ -> None | Full (time, v) -> Some (time, v)
+let fill_time t =
+  match t.state with
+  | Full (time, _) -> time
+  | Empty _ -> invalid_arg "Ivar.fill_time: not filled"
+
+let value t =
+  match t.state with
+  | Full (_, v) -> v
+  | Empty _ -> invalid_arg "Ivar.value: not filled"
+
 let is_filled t = match t.state with Empty _ -> false | Full _ -> true
 
 let on_fill t f =

@@ -11,10 +11,13 @@ val create : unit -> 'a t
     Raises [Failure] if already filled. *)
 val fill : 'a t -> time:float -> 'a -> unit
 
-(** [peek t] returns [Some (time, v)] if filled. *)
-val peek : 'a t -> (float * 'a) option
-
 val is_filled : 'a t -> bool
+
+(** The fill time and the value of a filled ivar, read without allocating.
+    Raise [Invalid_argument] if the ivar is not filled. *)
+val fill_time : 'a t -> float
+
+val value : 'a t -> 'a
 
 (** [on_fill t f] calls [f ~time v] now if filled, otherwise when filled. *)
 val on_fill : 'a t -> (time:float -> 'a -> unit) -> unit

@@ -19,22 +19,23 @@ type t = {
 
 and proc = { id : int; mutable clock : float; machine : t; fiber : fiber }
 
-(* A proc's fiber switch, built once with the proc so that an advance
-   allocates nothing of its own: the effect value, the handler's answer,
-   and the resume thunk are all preallocated, and the captured
-   continuation (with the DAG cause to restore) is parked here until the
-   resume event runs. *)
+(* A proc's fiber switch, built once with the proc. A fiber blocks in one
+   way: it performs its [Park p] effect, whose handler only stores the
+   captured continuation here. Whoever blocks has already arranged for
+   [resume] to be pushed: an advance pushes it itself, and an await leaves
+   a waiter on the ivar that pushes it at the fill. The effect value, the
+   handler's answer and the resume thunk are preallocated, so an advance
+   allocates nothing of its own and a pending await only its waiter. *)
 and fiber = {
-  advance : unit Effect.t; (* [Advance p] *)
-  on_advance : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  park : unit Effect.t; (* [Park p] *)
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
   resume : unit -> unit;
   mutable parked : (unit, unit) Effect.Deep.continuation;
       (* [unparked] until the first park *)
-  mutable cause : int; (* DAG head at the park, when a recorder is on *)
+  mutable cause : int; (* DAG node to resume in, when a recorder is on *)
 }
 
-type _ Effect.t += Advance : proc -> unit Effect.t
-type _ Effect.t += Await : proc * 'a Ivar.t -> 'a Effect.t
+type _ Effect.t += Park : proc -> unit Effect.t
 
 (* The initial value of a park slot: a real continuation, captured once
    and never resumed, so that parking stores the captured continuation
@@ -88,9 +89,10 @@ let schedule t ~time f =
   | None -> Event_queue.push t.events ~time f
   | Some c -> schedule_cause t c ~time ~cause:(Crit.export_cur c) f
 
-(* The clock bump and the DAG's compute interval happen before the
-   perform, leaving the handler only the park: nothing runs in between, so
-   the order is the same as doing them in the handler. *)
+(* The clock bump, the DAG's compute interval and the push of the resume
+   event happen before the perform, leaving the handler only the park:
+   nothing runs in between, so the order is the same as doing them in the
+   handler. *)
 let advance p cycles =
   if cycles < 0. || not (Float.is_finite cycles) then
     invalid_arg "Machine.advance: bad cycle count";
@@ -101,16 +103,48 @@ let advance p cycles =
     | Some c ->
         Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
         p.fiber.cause <- Crit.head c p.id);
-    Effect.perform p.fiber.advance
+    Event_queue.push p.machine.events ~time:p.clock p.fiber.resume;
+    Effect.perform p.fiber.park
   end
 
-let park p k =
-  p.fiber.parked <- k;
+(* The waiter runs synchronously inside [Ivar.fill], i.e. in the filler's
+   causal context: exactly the fill->wakeup edge. *)
+let wake p ~time =
+  if time > p.clock then p.clock <- time;
+  (match p.machine.crit with
+  | None -> ()
+  | Some c ->
+      p.fiber.cause <- Crit.wake c ~proc:p.id ~cause:(Crit.cur c) ~time:p.clock);
   Event_queue.push p.machine.events ~time:p.clock p.fiber.resume
+
+(* A filled ivar never yields: the fiber continues at once, without a
+   queue event. If the fill is in this fiber's future, the resume time is
+   bound by the filler: record that cross-chain edge (the fill
+   snapshotted its causal context into the ivar). On a pending ivar the
+   fiber leaves a [wake] waiter and parks; the value is read back from the
+   ivar once it resumes. The waiter is one small closure per await: a
+   waiter preallocated per proc saves 5 words, but shifts the minor-GC
+   cadence enough to grow the Table 4 workload's peak heap by about 11%. *)
+let await p iv =
+  if Ivar.is_filled iv then begin
+    let time = Ivar.fill_time iv in
+    if time > p.clock then begin
+      (match p.machine.crit with
+      | None -> ()
+      | Some c ->
+          Crit.set_cur c (Crit.wake c ~proc:p.id ~cause:(Ivar.cause iv) ~time));
+      p.clock <- time
+    end
+  end
+  else begin
+    Ivar.on_fill iv (fun ~time _ -> wake p ~time);
+    Effect.perform p.fiber.park
+  end;
+  Ivar.value iv
 
 (* The slot keeps the spent continuation until the next park: a resumed
    continuation holds no stack, and clearing it would cost a write barrier
-   on every advance. *)
+   on every switch. *)
 let resume p =
   (match p.machine.crit with
   | None -> ()
@@ -121,8 +155,8 @@ let make_proc t ~id ~clock =
   let rec p = { id; clock; machine = t; fiber }
   and fiber =
     {
-      advance = Advance p;
-      on_advance = Some (fun k -> park p k);
+      park = Park p;
+      on_park = Some (fun k -> p.fiber.parked <- k);
       resume = (fun () -> resume p);
       parked = unparked;
       cause = -1;
@@ -221,62 +255,18 @@ module Fanin = struct
     | Some c -> if f.join >= 0 then Crit.set_cur c f.join
 end
 
-let await p iv = Effect.perform (Await (p, iv))
-
-(* Run one fiber under a deep handler. The handler turns Advance into a
-   parked continuation with a rescheduled resumption (so processors
-   interleave in timestamp order) and Await into an ivar waiter. *)
+(* Run one fiber under a deep handler: a [Park] only stores the
+   continuation, whose resumption is already arranged (see [fiber]). *)
 let spawn_fiber t (body : unit -> unit) =
-  let open Effect.Deep in
   t.live <- t.live + 1;
-  match_with body ()
+  Effect.Deep.match_with body ()
     {
       retc = (fun () -> t.live <- t.live - 1);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) :
-             ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Advance p -> p.fiber.on_advance
-          | Await (p, iv) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  match Ivar.peek iv with
-                  | Some (time, v) ->
-                      (* Already filled. If the fill is in this fiber's
-                         future, the resume time is bound by the filler:
-                         record that cross-chain edge (the fill snapshotted
-                         its causal context into the ivar). *)
-                      (match t.crit with
-                      | Some c when time > p.clock ->
-                          let n =
-                            Crit.wake c ~proc:p.id ~cause:(Ivar.cause iv)
-                              ~time
-                          in
-                          Crit.set_cur c n
-                      | Some _ | None -> ());
-                      if time > p.clock then p.clock <- time;
-                      continue k v
-                  | None ->
-                      (* This callback runs synchronously inside Ivar.fill,
-                         i.e. in the *filler's* causal context — exactly the
-                         fill→wakeup edge. *)
-                      Ivar.on_fill iv (fun ~time v ->
-                          if time > p.clock then p.clock <- time;
-                          match t.crit with
-                          | None ->
-                              Event_queue.push t.events ~time:p.clock
-                                (fun () -> continue k v)
-                          | Some c ->
-                              let n =
-                                Crit.wake c ~proc:p.id ~cause:(Crit.cur c)
-                                  ~time:p.clock
-                              in
-                              Event_queue.push t.events ~time:p.clock
-                                (fun () ->
-                                  Crit.set_cur c n;
-                                  continue k v)))
-          | _ -> None);
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Park p -> p.fiber.on_park | _ -> None);
     }
 
 let run t program =

@@ -5,7 +5,13 @@
     (OCaml 5 effects). A fiber advances its private virtual clock with
     {!advance} and blocks on {!await}; the run loop always executes the
     earliest-timestamped pending work, so execution is sequentially
-    deterministic. *)
+    deterministic.
+
+    A fiber yields through one preallocated per-processor park effect,
+    whose handler only stores the captured continuation: {!advance} queues
+    the fiber's resumption before it parks, and {!await} on a pending ivar
+    leaves a waiter that queues it at the fill. {!await} on a filled ivar
+    never yields. *)
 
 type t
 
@@ -121,7 +127,9 @@ module Fanin : sig
 end
 
 (** Block the calling fiber until the ivar is filled; the processor clock is
-    advanced to at least the fill time. Returns the value. *)
+    advanced to at least the fill time. Returns the value. On an ivar that
+    is already filled this never yields and allocates nothing; on a pending
+    one it parks the fiber until the fill's wake-up event. *)
 val await : proc -> 'a Ivar.t -> 'a
 
 (** {2 Running} *)

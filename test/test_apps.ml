@@ -134,6 +134,31 @@ let chol_backends () =
   in
   check_close ~tol:1e-6 "write-once" expect wo.Driver.result
 
+(* BSC's input is built once per domain and shared by every simulated
+   processor. Two runs in one domain must both factor the right matrix,
+   the shared blocks must still equal a fresh [generate] afterwards (the
+   program never writes its input), and another seed must get its own
+   matrix rather than the memoised one. *)
+let chol_shared_input () =
+  let module C = Ace_apps.Chol_core in
+  let same a b =
+    Hashtbl.length a = Hashtbl.length b
+    && Hashtbl.fold (fun k v ok -> ok && Hashtbl.find_opt b k = Some v) a true
+  in
+  let core = chol_cfg.Chol.core in
+  let expect = C.checksum (C.reference core) in
+  for run = 1 to 2 do
+    let r = Driver.run_ace ~nprocs:8 (module Chol) chol_cfg in
+    check_close ~tol:1e-6 (Printf.sprintf "run %d" run) expect r.Driver.result
+  done;
+  Alcotest.(check bool) "input unchanged" true (same (C.input core) (C.generate core));
+  let other = { core with C.seed = core.C.seed + 1 } in
+  let r = Driver.run_ace ~nprocs:8 (module Chol) { chol_cfg with Chol.core = other } in
+  check_close ~tol:1e-6 "other seed" (C.checksum (C.reference other)) r.Driver.result;
+  Alcotest.(check bool) "other seed's input" true (same (C.input other) (C.generate other));
+  Alcotest.(check bool) "differs from the first seed's" false
+    (same (C.input other) (C.generate core))
+
 (* ---- TSP ---- *)
 
 let tsp_cfg =
@@ -259,6 +284,7 @@ let () =
         [
           Alcotest.test_case "LL^T = A" `Quick chol_factor_is_correct;
           Alcotest.test_case "backends" `Slow chol_backends;
+          Alcotest.test_case "shared input" `Quick chol_shared_input;
         ] );
       ( "tsp",
         [

@@ -242,11 +242,14 @@ let eq_policy_models =
 let ivar_basics () =
   let iv = Ivar.create () in
   check "not filled" false (Ivar.is_filled iv);
+  check "no value yet" true
+    (match Ivar.value iv with _ -> false | exception Invalid_argument _ -> true);
   let got = ref None in
   Ivar.on_fill iv (fun ~time v -> got := Some (time, v));
   Ivar.fill iv ~time:4. 42;
   check "waiter ran" true (!got = Some (4., 42));
-  check "peek" true (Ivar.peek iv = Some (4., 42));
+  check "fill time" true (Ivar.fill_time iv = 4.);
+  check_int "value" 42 (Ivar.value iv);
   (* late waiter runs immediately *)
   let late = ref false in
   Ivar.on_fill iv (fun ~time:_ _ -> late := true);
@@ -324,6 +327,47 @@ let machine_advance_allocation () =
   check
     (Printf.sprintf "%.2f minor words per advance <= 12" per)
     true (per <= 12.)
+
+(* Machine.await on a filled ivar continues without yielding, so it must
+   not allocate at all; the tolerance is one word of measurement slack. *)
+let machine_await_filled_allocation () =
+  let n = 200_000 in
+  let m = Machine.create ~nprocs:1 () in
+  let iv = Ivar.create () in
+  Ivar.fill iv ~time:0. 7;
+  let per = ref infinity in
+  Machine.run m (fun p ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Machine.await p iv))
+      done;
+      per := (Gc.minor_words () -. w0) /. float_of_int n);
+  check
+    (Printf.sprintf "%.2f minor words per filled await <= 1" !per)
+    true (!per <= 1.)
+
+(* One round of the pending-await path: proc 0 advances and fills, proc 1
+   awaits the ivar before it is filled and so parks until the fill wakes
+   it. The ivars are made before the measurement; what remains is the two
+   switches, the fill and the waiter registration. *)
+let machine_await_pending_allocation () =
+  let n = 100_000 in
+  let ivs = Array.init n (fun _ -> Ivar.create ()) in
+  let m = Machine.create ~nprocs:2 () in
+  let w0 = Gc.minor_words () in
+  Machine.run m (fun p ->
+      for i = 0 to n - 1 do
+        if p.Machine.id = 0 then begin
+          Machine.advance p 1.;
+          Ivar.fill ivs.(i) ~time:p.Machine.clock ()
+        end
+        else Machine.await p ivs.(i)
+      done);
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check "clocks advanced" true (Machine.time m = float_of_int n);
+  check
+    (Printf.sprintf "%.2f minor words per advance+fill+await round <= 40" per)
+    true (per <= 40.)
 
 (* A run with a DAG recorder attached: compute intervals on both chains,
    an ivar filled ahead of its await but with a later fill time, one
@@ -644,6 +688,10 @@ let () =
           Alcotest.test_case "advance/time" `Quick machine_advance_and_time;
           Alcotest.test_case "advance allocation" `Quick
             machine_advance_allocation;
+          Alcotest.test_case "await allocation (filled)" `Quick
+            machine_await_filled_allocation;
+          Alcotest.test_case "await allocation (pending)" `Quick
+            machine_await_pending_allocation;
           Alcotest.test_case "crit DAG pinned" `Quick machine_crit_dag_pinned;
           Alcotest.test_case "barrier sync" `Quick machine_barrier_sync;
           Alcotest.test_case "barrier reuse" `Quick machine_barrier_reusable;
