@@ -56,7 +56,14 @@ let () =
               o := { !o with E.scale = { !o.E.scale with E.nprocs } }),
           "N simulated processors (default 32)" );
         ( "--scaling-max",
-          int_from 2 "--scaling-max" (fun scaling_max -> o := { !o with E.scaling_max }),
+          Arg.Int
+            (fun scaling_max ->
+              (* the experiment's checks compare at least two machine sizes *)
+              let least = List.nth E.scaling_nprocs 1 in
+              if scaling_max < least then
+                usage_error "--scaling-max expects at least %d (two machine sizes), got %d"
+                  least scaling_max;
+              o := { !o with E.scaling_max }),
           "N largest machine of the scaling experiment (default 1024)" );
         ( "--jobs",
           int_from 1 "--jobs" (fun j -> o := { !o with E.jobs = Some j }),
@@ -65,8 +72,8 @@ let () =
         ("--json", Arg.String (fun p -> json := Some p), "FILE also write every row and check as JSON");
         ( "--baseline",
           Arg.String (fun p -> baseline := Some p),
-          "FILE fail unless every row shared with this earlier --json report has \
-           its simulated output, and the total wall is within 15% of its" );
+          "FILE fail unless every row this earlier --json report holds for a \
+           selected experiment comes out again with its simulated output" );
         ( "--trace",
           Arg.String (fun p -> o := { !o with E.trace = Some p }),
           "FILE run trace_overhead: record EM3D on Ace as Chrome trace-event JSON \
@@ -177,15 +184,18 @@ let () =
           || (e.name = "trace_overhead" && o.trace <> None)
         then
           let rows = e.run o in
-          Some (rows, e.checks o rows)
+          Some (e.name, rows, e.checks o rows)
         else None)
       E.registry
   in
   let total_wall = Unix.gettimeofday () -. t0 in
-  let rows = List.concat_map fst ran in
+  let rows = List.concat_map (fun (_, rows, _) -> rows) ran in
   let checks =
-    List.concat_map snd ran
-    @ Option.fold ~none:[] ~some:(fun b -> R.baseline_checks b ~total_wall rows) baseline
+    List.concat_map (fun (_, _, checks) -> checks) ran
+    @ Option.fold ~none:[]
+        ~some:(fun b ->
+          R.baseline_checks b ~experiments:(List.map (fun (n, _, _) -> n) ran) rows)
+        baseline
   in
   List.iter
     (fun (c : R.check) ->

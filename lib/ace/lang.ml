@@ -3,8 +3,10 @@
 
    A protocol is declared as a {!spec}: one list of actions per hook point
    of {!Protocol.protocol} — start/end read, start/end write, lock, unlock
-   on regions; barrier, attach, detach on spaces. {!compile} lowers a spec
-   to the handler record and is the only place such a record is built:
+   on regions; barrier, attach, detach on spaces. Every protocol of the
+   library, state machines included, is written in these actions; there is
+   no escape hatch for embedded handler code. {!compile} lowers a spec to
+   the handler record and is the only place such a record is built:
 
    - an empty action list compiles to the *physically shared*
      {!Protocol.null_hook}, so the acelang registry's [handler != null_hook]
@@ -12,16 +14,24 @@
    - a non-empty list compiles once into straight closures: hooks of up to
      three actions call their steps directly, longer ones chain, and each
      [Charge] reads its cost-model field without a dispatch-time match;
-   - the [has_*] flags of Fig. 1's registration script are derived from the
-     action lists, so the Table-4 direct-dispatch deletion pass can never
-     skip a live hook. The one exception, [unregistered], declares an
-     access point null for dispatch although it has actions; compilation
-     rejects it unless every action there is observational (assertions,
-     counters) — WRITE_ONCE's "assertion only; registered as null" idiom.
+   - the registration data of Fig. 1 is derived from the action lists, so
+     the Table-4 passes can never skip a live hook nor reorder a call that
+     must stay in place:
+     - [has_*]: a point is registered iff it has actions. The one exception,
+       [unregistered], declares an access point null for dispatch although
+       it has actions; compilation rejects it unless every action there is
+       an assertion or a counter — WRITE_ONCE's "assertion only; registered
+       as null" idiom;
+     - [optimizable]: false iff some start/end read/write hook, guards
+       included, takes an exclusive copy, runs a home read-modify-write
+       ([Fetch_add], [Home_rmw_begin]/[_end]) or observes the access
+       ([Observe]) — calls whose place in the program the optimizer must
+       not move (§4.2).
 
-   Protocols whose state machines are not primitives here (STATIC_UPDATE,
-   PIPELINE, RACE_CHECK) embed their handler code with [Call], which
-   compilation treats as effectful.
+   [Observe] is the one action that runs host code: a protocol's private
+   bookkeeping (RACE_CHECK's access log). Compilation wraps it so that it
+   raises [Invalid_argument] if the processor's clock moved, so it can
+   never change simulated output.
 
    Layers ({!counting}, {!write_combining}) are spec-to-spec transforms, so
    composition happens before compilation and costs nothing at dispatch
@@ -30,6 +40,7 @@
 module Blocks = Ace_region.Blocks
 module Store = Ace_region.Store
 module Machine = Ace_engine.Machine
+module Ivar = Ace_engine.Ivar
 module Stats = Ace_engine.Stats
 module Cost_model = Ace_net.Cost_model
 
@@ -47,8 +58,8 @@ type _ action =
       (* bulk-transfer mode on the reliable transport? then / else *)
   | Publish : 'a action
       (* drain the space's write-combining queue (see [Queue_update]) *)
-  | Call : (Protocol.ctx -> 'a -> unit) -> 'a action
-      (* an existing handler, for state machines that are not primitives *)
+  | Observe : (Protocol.ctx -> 'a -> unit) -> 'a action
+      (* host-side bookkeeping; must not move the processor's clock *)
   | If_home : Store.meta action list * Store.meta action list -> Store.meta action
       (* is this node the region's home? then / else *)
   | Fetch_shared : Store.meta action  (* ensure a valid local copy *)
@@ -62,8 +73,18 @@ type _ action =
   | Assert_home : Store.meta action  (* debug assertion: only the home writes *)
   | Home_lock : Store.meta action  (* acquire the region's home-based lock *)
   | Home_unlock : Store.meta action  (* release the region's home-based lock *)
+  | Lock_fetch : Store.meta action  (* home lock whose grant carries the master *)
+  | Write_home_async : Store.meta action  (* ship the value home, don't wait *)
+  | If_write_pending : Store.meta action list * Store.meta action list -> Store.meta action
+      (* is this node's last [Write_home_async] of the region in flight? *)
+  | Unlock_after_write : Store.meta action
+      (* release when the in-flight write lands (else a plain release) *)
   | Flush_space : Protocol.space action  (* write back / drop every cached copy *)
   | Drop_remote_copies : Protocol.space action  (* discard non-home copies unsent *)
+  | Push_learned : Protocol.space action
+      (* push the queued regions to their learned consumers, await *)
+  | Drain_writes : Protocol.space action  (* await every [Write_home_async] *)
+  | Prefetch_space : Protocol.space action  (* one batched shared fetch of all *)
 
 type raction = Store.meta action
 type saction = Protocol.space action
@@ -71,7 +92,6 @@ type point = Start_read | End_read | Start_write | End_write
 
 type spec = {
   name : string;
-  optimizable : bool;
   start_read : raction list;
   end_read : raction list;
   start_write : raction list;
@@ -86,12 +106,11 @@ type spec = {
          observational actions are allowed there (checked by compile) *)
 }
 
-let define ?(optimizable = true) ?(start_read = []) ?(end_read = [])
-    ?(start_write = []) ?(end_write = []) ?(lock = []) ?(unlock = [])
-    ?(barrier = []) ?(attach = []) ?(detach = []) ?(unregistered = []) name =
+let define ?(start_read = []) ?(end_read = []) ?(start_write = [])
+    ?(end_write = []) ?(lock = []) ?(unlock = []) ?(barrier = []) ?(attach = [])
+    ?(detach = []) ?(unregistered = []) name =
   {
     name;
-    optimizable;
     start_read;
     end_read;
     start_write;
@@ -114,23 +133,77 @@ let space_of (ctx : Protocol.ctx) (meta : Store.meta) =
 let batching (ctx : Protocol.ctx) =
   Ace_net.Reliable.batching ctx.Protocol.bctx.Blocks.net
 
-(* {2 Write-combining state}
+(* {2 Per-(space, node) protocol state}
 
-   One dirty-rid queue per (space, node), kept in the space's per-node
-   protocol state: DYN_UPDATE's bulk-transfer mode and the
-   [write_combining] layer share it. *)
+   Kept in the space's pstate slot, created by the first action that needs
+   it, so a protocol pays only for the state its own actions use
+   ([Ops.change_protocol] clears the slot):
+
+   - a queue of dirty rids, filled by [Queue_update] and drained by
+     [Publish] (DYN_UPDATE's bulk-transfer mode, the [write_combining]
+     layer) or by [Push_learned] (STATIC_UPDATE);
+   - [Push_learned]'s learned consumer sets, which wrap that queue;
+   - [Write_home_async]'s in-flight updates (PIPELINE). *)
 
 type wc_state = { mutable written : int list }
-type Protocol.pstate += Wc of wc_state
+
+type learned = {
+  queue : wc_state;
+  mutable learning : int; (* barriers left in the learning window *)
+  consumers : (int, int list) Hashtbl.t; (* rid -> consumer nodes *)
+}
+
+type pipe_state = {
+  mutable outstanding : unit Ivar.t list;
+  last_push : (int, unit Ivar.t) Hashtbl.t; (* rid -> in-flight update *)
+}
+
+type Protocol.pstate += Wc of wc_state | Learned of learned | Pipe of pipe_state
 
 let wc_state (ctx : Protocol.ctx) (sp : Protocol.space) =
   let node = ctx.Protocol.proc.Machine.id in
   match sp.Protocol.pstate.(node) with
   | Wc s -> s
+  | Learned l -> l.queue
   | _ ->
       let s = { written = [] } in
       sp.Protocol.pstate.(node) <- Wc s;
       s
+
+(* The learning window spans the first two barriers *at which this node has
+   writes to publish*: consumers of a region written before write-barrier N
+   register their read misses in the phase that follows it, so their
+   identities are only complete at write-barrier N+1 (EM3D: writes to E
+   happen before Barrier(eval), the reads of E in the H phase after it).
+   Barriers without pending writes (setup synchronization) do not consume
+   the window. *)
+let learning_barriers = 2
+
+let learned (ctx : Protocol.ctx) (sp : Protocol.space) =
+  let node = ctx.Protocol.proc.Machine.id in
+  match sp.Protocol.pstate.(node) with
+  | Learned l -> l
+  | st ->
+      let queue = match st with Wc s -> s | _ -> { written = [] } in
+      let l = { queue; learning = learning_barriers; consumers = Hashtbl.create 64 } in
+      sp.Protocol.pstate.(node) <- Learned l;
+      l
+
+let pipe_state (ctx : Protocol.ctx) (sp : Protocol.space) =
+  let node = ctx.Protocol.proc.Machine.id in
+  match sp.Protocol.pstate.(node) with
+  | Pipe s -> s
+  | _ ->
+      let s = { outstanding = []; last_push = Hashtbl.create 32 } in
+      sp.Protocol.pstate.(node) <- Pipe s;
+      s
+
+(* The nodes other than the home and this one that hold a copy: who a
+   pushed update must reach. *)
+let consumers (ctx : Protocol.ctx) (meta : Store.meta) =
+  List.filter
+    (fun n -> n <> meta.Store.home)
+    (Store.sharers meta ~except:ctx.Protocol.proc.Machine.id)
 
 (* Publish everything queued since the last sync point. In bulk-transfer
    mode this is one batched push (one vectored message per consumer);
@@ -146,17 +219,11 @@ let publish (ctx : Protocol.ctx) (sp : Protocol.space) =
       let store = ctx.Protocol.rt.Protocol.store in
       let bctx = ctx.Protocol.bctx in
       if batching ctx then begin
-        let me = ctx.Protocol.proc.Machine.id in
         let items =
           List.rev_map
             (fun rid ->
               let meta = Store.get store rid in
-              let consumers =
-                List.filter
-                  (fun n -> n <> meta.Store.home)
-                  (Store.sharers meta ~except:me)
-              in
-              (meta, consumers))
+              (meta, consumers ctx meta))
             rids
         in
         Machine.await ctx.Protocol.proc (Blocks.push_to_batch bctx items)
@@ -168,7 +235,7 @@ let publish (ctx : Protocol.ctx) (sp : Protocol.space) =
               (Blocks.push_update bctx (Store.get store rid)))
           (List.rev rids)
 
-(* {2 Space-wide detach actions} *)
+(* {2 Space-wide actions} *)
 
 (* Flush every cached copy this node holds of the space's regions — the
    base-state semantics of Ace_ChangeProtocol away from a coherent
@@ -204,6 +271,82 @@ let drop_remote_copies (ctx : Protocol.ctx) (sp : Protocol.space) =
         | Some c -> c.Store.cstate <- Store.Invalid
         | None -> ())
     sp.Protocol.rids
+
+(* {2 Learned-consumer push} (STATIC_UPDATE, paper §3.3)
+
+   Snapshot consumer lists while the learning window is open (one
+   bookkeeping message per written region models shipping the directory's
+   sharer list to the writer), then push every region queued since the
+   previous barrier to its consumers and wait for the data to land. In
+   bulk-transfer mode the whole end-of-phase burst is one vectored message
+   per consumer instead of one per (region, consumer) pair. *)
+let push_learned (ctx : Protocol.ctx) (sp : Protocol.space) =
+  let l = learned ctx sp in
+  let written = l.queue.written in
+  let bctx = ctx.Protocol.bctx in
+  let store = ctx.Protocol.rt.Protocol.store in
+  if l.learning > 0 && written <> [] then begin
+    List.iter
+      (fun rid ->
+        Hashtbl.replace l.consumers rid (consumers ctx (Store.get store rid));
+        Machine.advance ctx.Protocol.proc
+          ctx.Protocol.rt.Protocol.cost.Cost_model.am_send_overhead)
+      written;
+    l.learning <- l.learning - 1
+  end;
+  let items =
+    List.map
+      (fun rid ->
+        let meta = Store.get store rid in
+        match Hashtbl.find_opt l.consumers rid with
+        | Some c -> (meta, c)
+        | None ->
+            (* first written after learning ended: learn it now *)
+            let c = consumers ctx meta in
+            Hashtbl.replace l.consumers rid c;
+            (meta, c))
+      written
+  in
+  l.queue.written <- [];
+  if batching ctx then Machine.await ctx.Protocol.proc (Blocks.push_to_batch bctx items)
+  else
+    List.iter (Machine.await ctx.Protocol.proc)
+      (List.map (fun (meta, dsts) -> Blocks.push_to bctx meta ~dsts) items)
+
+(* {2 Pipelined writes} (PIPELINE, paper §5.2) *)
+
+(* Ship the region's value home without waiting. Bulk-transfer mode
+   write-combines it: the update parks in the queue and rides the next lock
+   request (or a blocking leg / the barrier's drain) in one vectored
+   message; the ivar contract is identical. *)
+let write_home_async (ctx : Protocol.ctx) (meta : Store.meta) =
+  let s = pipe_state ctx (space_of ctx meta) in
+  let bctx = ctx.Protocol.bctx in
+  let iv =
+    if batching ctx then Blocks.queue_write_home bctx meta
+    else Blocks.write_home_async bctx meta
+  in
+  s.outstanding <- iv :: s.outstanding;
+  Hashtbl.replace s.last_push meta.Store.rid iv
+
+let pending_write (ctx : Protocol.ctx) (meta : Store.meta) =
+  match Hashtbl.find_opt (pipe_state ctx (space_of ctx meta)).last_push meta.Store.rid with
+  | Some iv when not (Ivar.is_filled iv) -> Some iv
+  | Some _ | None -> None
+
+(* A combined update+release: the home unlocks the moment the data lands,
+   so the caller never blocks and the next holder sees the new value. *)
+let unlock_after_write (ctx : Protocol.ctx) (meta : Store.meta) =
+  match pending_write ctx meta with
+  | Some iv -> Blocks.unlock_after ctx.Protocol.bctx meta iv
+  | None -> Blocks.home_unlock ctx.Protocol.bctx meta
+
+let drain_writes (ctx : Protocol.ctx) (sp : Protocol.space) =
+  let s = pipe_state ctx sp in
+  Blocks.flush_writes ctx.Protocol.bctx;
+  List.iter (Machine.await ctx.Protocol.proc) s.outstanding;
+  s.outstanding <- [];
+  Hashtbl.reset s.last_push
 
 (* {2 Compilation} *)
 
@@ -263,7 +406,13 @@ let rec action_fn : type a. a site -> a action -> Protocol.ctx -> a -> unit =
       match site with
       | Region -> fun ctx meta -> publish ctx (space_of ctx meta)
       | Space -> publish)
-  | Call f -> f
+  | Observe f ->
+      fun ctx x ->
+        let proc = ctx.Protocol.proc in
+        let t = proc.Machine.clock in
+        f ctx x;
+        if proc.Machine.clock <> t then
+          invalid_arg "Lang: an Observe action moved the processor clock"
   | If_home (yes, no) ->
       let yes = seq site yes and no = seq site no in
       fun ctx meta ->
@@ -289,8 +438,20 @@ let rec action_fn : type a. a site -> a action -> Protocol.ctx -> a -> unit =
       fun ctx meta -> assert (ctx.Protocol.proc.Machine.id = meta.Store.home)
   | Home_lock -> fun ctx meta -> Blocks.home_lock ctx.Protocol.bctx meta
   | Home_unlock -> fun ctx meta -> Blocks.home_unlock ctx.Protocol.bctx meta
+  | Lock_fetch -> fun ctx meta -> Blocks.lock_fetch ctx.Protocol.bctx meta
+  | Write_home_async -> write_home_async
+  | If_write_pending (yes, no) ->
+      let yes = seq site yes and no = seq site no in
+      fun ctx meta -> if pending_write ctx meta <> None then yes ctx meta else no ctx meta
+  | Unlock_after_write -> unlock_after_write
   | Flush_space -> flush_space
   | Drop_remote_copies -> drop_remote_copies
+  | Push_learned -> push_learned
+  | Drain_writes -> drain_writes
+  | Prefetch_space ->
+      fun ctx sp ->
+        Blocks.fetch_shared_batch ctx.Protocol.bctx
+          (List.map (Store.get ctx.Protocol.rt.Protocol.store) sp.Protocol.rids)
 
 and seq : type a. a site -> a action list -> Protocol.ctx -> a -> unit =
  fun site acts -> chain (List.map (action_fn site) acts)
@@ -300,11 +461,20 @@ and seq : type a. a site -> a action list -> Protocol.ctx -> a -> unit =
    nothing. *)
 let hook site = function [] -> Protocol.null_hook | acts -> seq site acts
 
-(* Only observational actions may live on an [unregistered] hook: the
+(* Only assertions and counters may live on an [unregistered] hook: the
    direct-dispatch pass deletes these calls, so anything that charges
-   cycles or moves data there would silently change simulated output. *)
+   cycles or moves data there would silently change simulated output, and
+   an [Observe] there would silently lose its log. *)
 let observational : raction -> bool = function
   | Assert_home | Count _ -> true
+  | _ -> false
+
+(* Calls the optimizer must leave in place: exclusive ownership, home
+   read-modify-writes and observed accesses. *)
+let rec pinned : raction -> bool = function
+  | Fetch_exclusive | Fetch_add | Home_rmw_begin | Home_rmw_end | Observe _ -> true
+  | If_batching (a, b) | If_home (a, b) | If_write_pending (a, b) ->
+      List.exists pinned a || List.exists pinned b
   | _ -> false
 
 let point_name = function
@@ -329,9 +499,10 @@ let compile (s : spec) : Protocol.protocol =
              s.name (point_name pt)))
     s.unregistered;
   let has pt = acts_of pt <> [] && not (List.mem pt s.unregistered) in
+  let points = [ Start_read; End_read; Start_write; End_write ] in
   {
     Protocol.name = s.name;
-    optimizable = s.optimizable;
+    optimizable = not (List.exists (fun pt -> List.exists pinned (acts_of pt)) points);
     has_start_read = has Start_read;
     has_end_read = has End_read;
     has_start_write = has Start_write;
@@ -400,10 +571,10 @@ let write_combining s =
 
 (* The default protocol: a sequentially consistent, home-based
    invalidation protocol (MSI over regions) — what Ace programs get until
-   they opt into a custom protocol. Not optimizable: SC forbids reordering
-   protocol calls (paper §4.2). *)
+   they opt into a custom protocol. Its exclusive fetch makes it not
+   optimizable: SC forbids reordering protocol calls (paper §4.2). *)
 let sc =
-  define "SC" ~optimizable:false
+  define "SC"
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~end_read:[ Charge End_op ]
     ~start_write:[ Charge Start_hit; Fetch_exclusive ]
@@ -415,5 +586,5 @@ let sc =
    only at its home (e.g. Water's intra-molecular phase, paper §2.2).
    Locks remain real so synchronization stays sound. *)
 let null =
-  define "NULL" ~optimizable:true ~lock:sc_lock ~unlock:sc_unlock
+  define "NULL" ~lock:sc_lock ~unlock:sc_unlock
     ~detach:[ Drop_remote_copies ]

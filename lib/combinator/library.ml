@@ -35,7 +35,7 @@ let wc_update =
   entry ~admits_like:"DYN_UPDATE"
     Lang.(
       write_combining
-        (define "DSL_WC_UPDATE" ~optimizable:true
+        (define "DSL_WC_UPDATE"
            ~start_read:[ Charge Start_hit; Fetch_shared ]
            ~start_write:[ Charge Start_hit; Fetch_shared ]
            ~end_write:[ Push_update ] ~lock:sc_lock ~unlock:sc_unlock

@@ -56,34 +56,10 @@
 
 (* ---- interned node kinds (global, shared across recorders) ---- *)
 
-let mutex = Mutex.create ()
-let table : (string, int) Hashtbl.t = Hashtbl.create 32
-let names = ref ([||] : string array)
-let n_kinds = ref 0
-
-let kind name =
-  Mutex.protect mutex (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some k -> k
-      | None ->
-          let k = !n_kinds in
-          if k = Array.length !names then begin
-            let a = Array.make (max 16 (2 * k)) "" in
-            Array.blit !names 0 a 0 k;
-            names := a
-          end;
-          !names.(k) <- name;
-          incr n_kinds;
-          Hashtbl.add table name k;
-          k)
-
-let kind_name k =
-  Mutex.protect mutex (fun () ->
-      if k < 0 || k >= !n_kinds then invalid_arg "Crit.kind_name"
-      else !names.(k))
-
-let kinds () =
-  Mutex.protect mutex (fun () -> Array.sub !names 0 !n_kinds)
+let kind_table : unit Intern.t = Intern.create ()
+let kind name = Intern.intern kind_table name ()
+let kind_name k = Intern.name kind_table k
+let kinds () = Intern.names kind_table
 
 let k_root = kind "root"
 let k_app = kind "app"

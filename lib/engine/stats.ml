@@ -16,58 +16,22 @@
      (Prometheus-style "le" semantics: value v lands in the first bucket
      with v <= limit, or the overflow bucket past the last limit).
 
-   The intern tables are global and mutex-protected so simulations running
-   on parallel domains can share them; each [t] (the values) belongs to a
-   single simulation and is never shared across domains. [create] snapshots
-   the registry sizes under the same mutex — unsynchronized reads of the
-   growing tables would race with [intern] on another domain. *)
+   The intern tables ({!Intern}) are global and mutex-protected so
+   simulations running on parallel domains can share them; each [t] (the
+   values) belongs to a single simulation and is never shared across
+   domains. [create] reads the registry sizes through the tables' mutexes —
+   unsynchronized reads of the growing tables would race with [intern] on
+   another domain. *)
 
 type id = int
 type fam = int
 type hist = int
 
-let mutex = Mutex.create ()
-let table : (string, int) Hashtbl.t = Hashtbl.create 64
-let names = ref ([||] : string array)
-let n_ids = ref 0
-let fam_table : (string, int) Hashtbl.t = Hashtbl.create 16
-let fam_names = ref ([||] : string array)
-let n_fams = ref 0
-let hist_table : (string, int) Hashtbl.t = Hashtbl.create 16
-let hist_names = ref ([||] : string array)
-let hist_limits = ref ([||] : float array array)
-let n_hists = ref 0
-
-(* Append [x] to the packed prefix of [!arr] at index [n], growing. *)
-let append arr n x dummy =
-  if n = Array.length !arr then begin
-    let a = Array.make (max 16 (2 * n)) dummy in
-    Array.blit !arr 0 a 0 n;
-    arr := a
-  end;
-  !arr.(n) <- x
-
-let intern name =
-  Mutex.protect mutex (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some sid -> sid
-      | None ->
-          let sid = !n_ids in
-          append names sid name "";
-          incr n_ids;
-          Hashtbl.add table name sid;
-          sid)
-
-let fam name =
-  Mutex.protect mutex (fun () ->
-      match Hashtbl.find_opt fam_table name with
-      | Some fid -> fid
-      | None ->
-          let fid = !n_fams in
-          append fam_names fid name "";
-          incr n_fams;
-          Hashtbl.add fam_table name fid;
-          fid)
+let ids : unit Intern.t = Intern.create ()
+let fams : unit Intern.t = Intern.create ()
+let hists : float array Intern.t = Intern.create [||] (* value: bucket limits *)
+let intern name = Intern.intern ids name ()
+let fam name = Intern.intern fams name ()
 
 let hist name ~limits =
   if Array.length limits = 0 then invalid_arg "Stats.hist: no bucket limits";
@@ -76,19 +40,10 @@ let hist name ~limits =
       if i > 0 && not (v > limits.(i - 1)) then
         invalid_arg "Stats.hist: limits must be strictly increasing")
     limits;
-  Mutex.protect mutex (fun () ->
-      match Hashtbl.find_opt hist_table name with
-      | Some hid ->
-          if !hist_limits.(hid) <> limits then
-            invalid_arg ("Stats.hist: conflicting limits for " ^ name);
-          hid
-      | None ->
-          let hid = !n_hists in
-          append hist_names hid name "";
-          append hist_limits hid (Array.copy limits) [||];
-          incr n_hists;
-          Hashtbl.add hist_table name hid;
-          hid)
+  let hid = Intern.intern hists name (Array.copy limits) in
+  if Intern.value hists hid <> limits then
+    invalid_arg ("Stats.hist: conflicting limits for " ^ name);
+  hid
 
 type t = {
   mutable slots : float array;
@@ -101,14 +56,12 @@ type t = {
 }
 
 let create () =
-  let ids, fams, hists =
-    Mutex.protect mutex (fun () -> (!n_ids, !n_fams, !n_hists))
-  in
+  let n_hists = Intern.size hists in
   {
-    slots = Array.make (max 16 ids) 0.;
-    fams = Array.make fams [||];
-    hists = Array.make hists [||];
-    hlimits = Array.make hists [||];
+    slots = Array.make (max 16 (Intern.size ids)) 0.;
+    fams = Array.make (Intern.size fams) [||];
+    hists = Array.make n_hists [||];
+    hlimits = Array.make n_hists [||];
   }
 
 let ensure t sid =
@@ -201,7 +154,7 @@ let hist_open t h =
     t.hlimits <- l
   end;
   if Array.length t.hlimits.(h) = 0 then begin
-    let limits = Mutex.protect mutex (fun () -> !hist_limits.(h)) in
+    let limits = Intern.value hists h in
     t.hlimits.(h) <- limits;
     t.hists.(h) <- Array.make (Array.length limits + 1) 0.
   end
@@ -252,7 +205,7 @@ let merge_into dst src =
     src.hists
 
 let to_list t =
-  let snapshot = Mutex.protect mutex (fun () -> Array.sub !names 0 !n_ids) in
+  let snapshot = Intern.names ids in
   let acc = ref [] in
   for sid = Array.length snapshot - 1 downto 0 do
     let v = get_id t sid in
@@ -261,7 +214,7 @@ let to_list t =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let dims_to_list t =
-  let snapshot = Mutex.protect mutex (fun () -> Array.sub !fam_names 0 !n_fams) in
+  let snapshot = Intern.names fams in
   let acc = ref [] in
   for f = Array.length snapshot - 1 downto 0 do
     match dim_cells t f with
@@ -271,9 +224,7 @@ let dims_to_list t =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let hists_to_list t =
-  let snapshot =
-    Mutex.protect mutex (fun () -> Array.sub !hist_names 0 !n_hists)
-  in
+  let snapshot = Intern.names hists in
   let acc = ref [] in
   for h = Array.length snapshot - 1 downto 0 do
     if h < Array.length t.hists && Array.exists (fun c -> c <> 0.) t.hists.(h)

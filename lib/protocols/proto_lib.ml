@@ -1,8 +1,11 @@
 (* The protocol library shipped with this reproduction, one spec per
-   protocol. [register_all] plays the role of the paper's registration
-   scripts plus link step: after it runs, every library protocol is
-   available to Ace_NewSpace / Ace_ChangeProtocol by name (SC and NULL are
-   built into the runtime). *)
+   protocol (RACE_CHECK's, with its log and reports, is in
+   Proto_race_check). [register_all] plays the role of the paper's
+   registration scripts plus link step: after it runs, every library
+   protocol is available to Ace_NewSpace / Ace_ChangeProtocol by name (SC
+   and NULL are built into the runtime). The script's data — which points
+   are non-null, whether the compiler may optimize — is derived from each
+   spec by [compile]. *)
 
 open Ace_runtime.Lang
 
@@ -16,7 +19,7 @@ open Ace_runtime.Lang
    push. Consumers synchronize before reading, so they observe the same
    values at the same synchronization points as the immediate push. *)
 let dyn_update =
-  define "DYN_UPDATE" ~optimizable:true
+  define "DYN_UPDATE"
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Charge Start_hit; Fetch_shared ]
     ~end_write:[ If_batching ([ Queue_update ], [ Push_update ]) ]
@@ -27,9 +30,10 @@ let dyn_update =
 
 (* Migratory: data accessed in exclusive bursts by one processor at a time.
    Reads migrate ownership too, so later accesses of a burst are free and
-   no separate invalidation is ever needed. *)
+   no separate invalidation is ever needed. Exclusive fetches make it not
+   optimizable. *)
 let migratory =
-  define "MIGRATORY" ~optimizable:false
+  define "MIGRATORY"
     ~start_read:[ Charge Start_hit; Fetch_exclusive ]
     ~start_write:[ Charge Start_hit; Fetch_exclusive ]
     ~lock:sc_lock ~unlock:sc_unlock ~detach:[ Flush_space ]
@@ -40,7 +44,7 @@ let migratory =
    deletes it (§4.2); the home-only assertion stays as a debug check.
    Reads fetch on a miss and then stay valid. *)
 let write_once =
-  define "WRITE_ONCE" ~optimizable:true
+  define "WRITE_ONCE"
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Assert_home ] ~unregistered:[ Start_write ] ~lock:sc_lock
     ~unlock:sc_unlock ~detach:[ Flush_space ]
@@ -50,10 +54,10 @@ let write_once =
    to the home, which adds 1 atomically in its message handler — the
    protocol asserts the application's read-modify-write is exactly "+1".
    At the home, whose copy aliases the master, the protocol brackets the
-   in-place RMW with the local region lock instead. Not optimizable: RMW
-   atomicity must not be reordered. *)
+   in-place RMW with the local region lock instead. The home RMW makes it
+   not optimizable: RMW atomicity must not be reordered. *)
 let counter =
-  define "COUNTER" ~optimizable:false
+  define "COUNTER"
     ~start_read:[ Charge Start_hit; Read_home ]
     ~start_write:
       [
@@ -65,14 +69,67 @@ let counter =
     ~end_write:[ Charge End_op; If_home ([ Home_rmw_end ], []) ]
     ~lock:sc_lock ~unlock:sc_unlock ~detach:[ Flush_space ]
 
+(* Static update (paper §3.3; essentially Falsafi et al.'s EM3D protocol):
+   sharer lists are learned during the first iteration — the ordinary read
+   misses register consumers at the directory — and from the first barrier
+   onward each writer pushes the regions it wrote directly to their learned
+   consumers at every barrier, before the global synchronization. This is
+   the protocol whose barrier handler Ace_Barrier(space) invokes
+   automatically ("Since the barriers specify the space they operate on,
+   the underlying system invokes the static update barrier handler routine
+   automatically"). Detach pushes anything still queued, then flushes to
+   base state. *)
+let static_update =
+  define "STATIC_UPDATE"
+    ~start_read:[ Charge Start_hit; Fetch_shared ]
+    ~start_write:[ Charge Start_hit; Fetch_shared; Queue_update ]
+    ~barrier:[ Push_learned ] ~lock:sc_lock ~unlock:sc_unlock
+    ~detach:[ Push_learned; Flush_space ]
+
+(* Pipelined writes (the Water inter-molecular protocol of paper §5.2: "we
+   improve performance by pipelining writes to a molecule during the
+   inter-molecular calculation phase"). Accumulations happen under the
+   region lock; the protocol specializes every step of that pattern:
+
+   - lock: the grant carries the freshly accumulated master, so the
+     critical section's read and write hit locally (one round trip);
+   - end_write: ships the new value home asynchronously — the processor
+     moves on while the update is in flight;
+   - unlock: rides the in-flight update (a combined update+release
+     message), so the caller never blocks and the next holder sees the
+     accumulated value;
+   - barrier: drains outstanding updates and drops cached copies, so the
+     next phase reads fresh data;
+   - attach, in bulk-transfer mode: prefetches the whole space in one
+     batched fetch, so the first sweep starts from warm caches (a value
+     accumulated later still arrives with the lock grant).
+
+   Under SC the same source pays a blocking exclusive fetch (with an
+   invalidation storm of every position reader) per accumulation. *)
+let pipeline =
+  define "PIPELINE"
+    ~start_read:[ Charge Start_hit; Fetch_shared ]
+    ~start_write:[ Charge Start_hit; Fetch_shared ]
+    ~end_write:[ Charge End_op; Write_home_async; Count "proto.pipeline.writes" ]
+    ~lock:[ Charge Lock_base; Lock_fetch ]
+    ~unlock:
+      [
+        Charge Lock_base;
+        If_write_pending
+          ([ Count "proto.pipeline.combined_release"; Unlock_after_write ], [ Home_unlock ]);
+      ]
+    ~barrier:[ Drain_writes; Drop_remote_copies ]
+    ~attach:[ Charge Null_hook; If_batching ([ Prefetch_space ], []) ]
+    ~detach:[ Drain_writes; Drop_remote_copies; Flush_space ]
+
 let specs =
   [
     dyn_update;
-    Proto_static_update.spec;
+    static_update;
     migratory;
     write_once;
     counter;
-    Proto_pipeline.spec;
+    pipeline;
     Proto_race_check.spec;
   ]
 

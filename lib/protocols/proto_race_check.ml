@@ -143,12 +143,15 @@ let barrier (ctx : Protocol.ctx) (sp : Protocol.space) =
    race materialized). *)
 let reports (sp : Protocol.space) = List.rev (shared sp).reports
 
+(* The log is host-side bookkeeping: every hook that touches it is an
+   [Observe], which compilation checks never moves the clock, and which
+   keeps the protocol's calls where the program put them. *)
 let spec =
   Lang.(
-    define "RACE_CHECK" ~optimizable:false
-      ~start_read:[ Fetch_shared; Call read ]
-      ~start_write:[ Fetch_exclusive; Call write ]
-      ~barrier:[ Call barrier ]
-      ~lock:(sc_lock @ [ Call hold ])
-      ~unlock:(Call release :: sc_unlock)
+    define "RACE_CHECK"
+      ~start_read:[ Fetch_shared; Observe read ]
+      ~start_write:[ Fetch_exclusive; Observe write ]
+      ~barrier:[ Observe barrier ]
+      ~lock:(sc_lock @ [ Observe hold ])
+      ~unlock:(Observe release :: sc_unlock)
       ~detach:[ Flush_space ])

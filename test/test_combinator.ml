@@ -45,10 +45,56 @@ let effectful_unregistered_rejected () =
     | _ -> false
   in
   check "compile rejects effectful unregistered hook" true (rejected bad);
-  (* an embedded handler counts as effectful, whatever it does *)
-  check "compile rejects an unregistered Call" true
+  (* direct dispatch deletes an unregistered hook, and with it the log an
+     Observe keeps, so an Observe is not allowed there either *)
+  check "compile rejects an unregistered Observe" true
     (rejected
-       { bad with Lang.start_write = [ Lang.Call (fun _ _ -> ()) ] })
+       { bad with Lang.start_write = [ Lang.Observe (fun _ _ -> ()) ] })
+
+(* Fig. 1's registration data of the library entries, derived from their
+   specs: (optimizable, has start_read, end_read, start_write, end_write),
+   the values the entries were registered with when they were hand-set. *)
+let derived_registration () =
+  let expected =
+    [
+      ("DSL_SC", (false, true, true, true, true));
+      ("DSL_WRITE_ONCE", (true, true, false, false, false));
+      ("DSL_MIGRATORY", (false, true, false, true, false));
+      ("DSL_WC_UPDATE", (true, true, false, true, true));
+      ("DSL_SC_STATS", (false, true, true, true, true));
+    ]
+  in
+  Alcotest.(check (list string)) "library entries" (List.map fst expected) Library.names;
+  List.iter
+    (fun (e : Library.entry) ->
+      let p = e.Library.proto in
+      check (p.Protocol.name ^ " registration") true
+        (List.assoc p.Protocol.name expected
+        = ( p.Protocol.optimizable,
+            p.Protocol.has_start_read,
+            p.Protocol.has_end_read,
+            p.Protocol.has_start_write,
+            p.Protocol.has_end_write )))
+    Library.all
+
+(* An Observe is host-side only: one that moves the clock raises when the
+   hook runs, instead of silently changing simulated output. *)
+let observe_must_not_advance () =
+  let run observe =
+    let rt = Runtime.create ~nprocs:2 () in
+    Runtime.register rt
+      (Lang.compile
+         (Lang.define "OBSERVE_TEST" ~start_read:[ Lang.Fetch_shared; Lang.Observe observe ]));
+    ignore (Runtime.new_space rt "OBSERVE_TEST");
+    Runtime.run rt (fun ctx ->
+        let h = Ops.alloc ctx ~space:0 ~len:1 in
+        Ops.start_read ctx h;
+        Ops.end_read ctx h)
+  in
+  run (fun _ _ -> ());
+  Alcotest.check_raises "clock moved"
+    (Invalid_argument "Lang: an Observe action moved the processor clock") (fun () ->
+      run (fun ctx _ -> Ace_engine.Machine.advance ctx.Protocol.proc 1.))
 
 (* ---------- run equivalence (small grid) ---------- *)
 
@@ -280,6 +326,104 @@ let change_protocol_roundtrip_through_dsl () =
       if me = 2 then captured := !sum);
   check "sum of (me + 100)" true (!captured = 406.)
 
+(* Mid-run switches into and out of STATIC_UPDATE and PIPELINE: an
+   EM3D-like relaxation between spaces A and B under STATIC_UPDATE (each
+   half-step writes one space, then passes that space's barrier, as
+   EM3D's E and H do), then locked accumulations into space ACC under
+   PIPELINE, with SC before, between and after. Values are small dyadic
+   rationals, so every sum is exact whatever order the locks grant in,
+   and the checksum node 0 reads must equal the sequential program's
+   exactly. *)
+let switch_through_state_machines ~batch () =
+  let p = 4 and k = 2 and steps = 3 in
+  let a = Array.init p (fun o -> Array.init k (fun i -> float_of_int ((o * 10) + i))) in
+  let b = Array.make_matrix p k 0. and acc = Array.make p 0. in
+  for _ = 1 to steps do
+    for o = 0 to p - 1 do
+      for i = 0 to k - 1 do
+        b.(o).(i) <- a.(o).(i) +. (0.5 *. a.((o + 1) mod p).(i))
+      done
+    done;
+    for o = 0 to p - 1 do
+      for i = 0 to k - 1 do
+        a.(o).(i) <- b.(o).(i) +. (0.25 *. b.((o + p - 1) mod p).(i))
+      done
+    done
+  done;
+  for o = 0 to p - 1 do
+    for t = 0 to p - 1 do
+      acc.(t) <- acc.(t) +. a.(o).(0)
+    done
+  done;
+  let sum m = Array.fold_left (fun s r -> Array.fold_left ( +. ) s r) 0. m in
+  let reference = sum a +. sum b +. Array.fold_left ( +. ) 0. acc in
+  let rt = Runtime.create ~nprocs:p () in
+  Ace_protocols.Proto_lib.register_all rt;
+  let sa = 0 and sb = 1 and sacc = 2 in
+  List.iter (fun _ -> ignore (Runtime.new_space rt "SC")) [ sa; sb; sacc ];
+  Ace_net.Am.set_batching (Runtime.am rt) batch;
+  let captured = ref nan in
+  Runtime.run rt (fun ctx ->
+      let me = Ops.me ctx in
+      let own space n = Array.init n (fun _ -> Ops.alloc ctx ~space ~len:1) in
+      let mine = [| own sa k; own sb k; own sacc 1 |] in
+      let region space o i =
+        if o = me then mine.(space).(i)
+        else Ops.map ctx (Ops.global_id ctx ~space ~owner:o ~seq:i)
+      in
+      let read h =
+        Ops.start_read ctx h;
+        let v = (Ops.data ctx h).(0) in
+        Ops.end_read ctx h;
+        v
+      in
+      let write h v =
+        Ops.start_write ctx h;
+        (Ops.data ctx h).(0) <- v;
+        Ops.end_write ctx h
+      in
+      let switch name = List.iter (fun space -> Ops.change_protocol ctx ~space name) in
+      for i = 0 to k - 1 do
+        write mine.(sa).(i) (float_of_int ((me * 10) + i))
+      done;
+      Ops.barrier ctx ~space:sa;
+      switch "STATIC_UPDATE" [ sa; sb ];
+      for _ = 1 to steps do
+        for i = 0 to k - 1 do
+          write mine.(sb).(i)
+            (read mine.(sa).(i) +. (0.5 *. read (region sa ((me + 1) mod p) i)))
+        done;
+        Ops.barrier ctx ~space:sb;
+        for i = 0 to k - 1 do
+          write mine.(sa).(i)
+            (read mine.(sb).(i) +. (0.25 *. read (region sb ((me + p - 1) mod p) i)))
+        done;
+        Ops.barrier ctx ~space:sa
+      done;
+      switch "SC" [ sa; sb ];
+      let contribution = read mine.(sa).(0) in
+      switch "PIPELINE" [ sacc ];
+      for r = 0 to p - 1 do
+        let h = region sacc ((me + r) mod p) 0 in
+        Ops.lock ctx h;
+        let v = read h in
+        write h (v +. contribution);
+        Ops.unlock ctx h
+      done;
+      Ops.barrier ctx ~space:sacc;
+      switch "SC" [ sacc ];
+      if me = 0 then begin
+        let total = ref 0. in
+        for o = 0 to p - 1 do
+          for i = 0 to k - 1 do
+            total := !total +. read (region sa o i) +. read (region sb o i)
+          done;
+          total := !total +. read (region sacc o 0)
+        done;
+        captured := !total
+      end);
+  Alcotest.(check (float 0.)) "checksum = sequential reference" reference !captured
+
 let () =
   Alcotest.run "ace_combinator"
     [
@@ -289,6 +433,9 @@ let () =
             null_hooks_are_physical;
           Alcotest.test_case "effectful unregistered rejected" `Quick
             effectful_unregistered_rejected;
+          Alcotest.test_case "derived registration" `Quick derived_registration;
+          Alcotest.test_case "observe must not advance" `Quick
+            observe_must_not_advance;
         ] );
       ( "run equivalence",
         [
@@ -321,5 +468,10 @@ let () =
             fuzz_catches_broken_combinator;
           Alcotest.test_case "change_protocol through DSL" `Quick
             change_protocol_roundtrip_through_dsl;
+          Alcotest.test_case "switch through STATIC_UPDATE and PIPELINE" `Quick
+            (switch_through_state_machines ~batch:false);
+          Alcotest.test_case "switch through STATIC_UPDATE and PIPELINE, batched"
+            `Quick
+            (switch_through_state_machines ~batch:true);
         ] );
     ]

@@ -628,6 +628,21 @@ let fixture_last_arriver_race () =
 
 (* ---- stats ---- *)
 
+(* The one interning table behind Stats ids, families, histograms and Crit
+   kinds: ids are dense in first-intern order, re-interning returns the old
+   id and keeps its value, and an id not handed out is rejected. *)
+let intern_table () =
+  let module I = Ace_engine.Intern in
+  let t = I.create 0 in
+  let ids = List.map (fun (n, v) -> I.intern t n v) [ ("b", 1); ("a", 2); ("b", 3); ("c", 4) ] in
+  Alcotest.(check (list int)) "dense, first-intern order" [ 0; 1; 0; 2 ] ids;
+  Alcotest.(check int) "size" 3 (I.size t);
+  Alcotest.(check (array string)) "names by id" [| "b"; "a"; "c" |] (I.names t);
+  Alcotest.(check int) "value fixed at first intern" 1 (I.value t 0);
+  Alcotest.(check string) "name" "c" (I.name t 2);
+  Alcotest.check_raises "unknown id" (Invalid_argument "Intern: unknown id") (fun () ->
+      ignore (I.name t 3))
+
 let stats_counters () =
   let s = Stats.create () in
   Stats.incr s "x";
@@ -715,5 +730,6 @@ let () =
         [
           Alcotest.test_case "counters" `Quick stats_counters;
           Alcotest.test_case "merge roundtrip" `Quick stats_merge_roundtrip;
+          Alcotest.test_case "intern table" `Quick intern_table;
         ] );
     ]

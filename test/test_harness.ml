@@ -176,20 +176,26 @@ let baseline_gate () =
   let base =
     match
       R.parse_baseline
-        (Printf.sprintf "{\"total_wall_s\": 10, \"rows\": [%s]}"
+        (Printf.sprintf "{\"rows\": [%s]}"
            (String.concat ",\n" (List.map R.row_json rows)))
     with
     | Ok b -> b
     | Error m -> Alcotest.fail m
   in
-  let gate ?(total_wall = 11.) rows = R.baseline_checks base ~total_wall rows in
+  let gate ?(experiments = [ "fig7a"; "table4" ]) rows =
+    R.baseline_checks base ~experiments rows
+  in
   List.iter (fun c -> Alcotest.(check bool) c.R.series true c.R.ok) (gate rows);
   let perturb f = List.map (fun r -> if r.R.name = "EM3D" then f r else r) rows in
   expect "baseline/identity" false
     (gate (perturb (fun r -> { r with R.sim = [ ("ace", 0.1 /. 3. +. 1e-12) ] })));
   expect "baseline/identity" false
     (gate (perturb (fun r -> { r with R.messages = [ ("ace", 1235.) ] })));
-  expect "baseline/total-wall" false (gate ~total_wall:11.6 rows);
+  (* a baseline row of an experiment that ran but did not produce it *)
+  let em3d_only = List.filter (fun r -> r.R.name = "EM3D") rows in
+  expect "baseline/identity" false (gate em3d_only);
+  (* ... while an experiment that did not run is not compared *)
+  expect "baseline/identity" true (gate ~experiments:[ "fig7a" ] em3d_only);
   Alcotest.(check bool) "malformed baseline rejected" true
     (Result.is_error (R.parse_baseline "{\"rows\": []}"))
 

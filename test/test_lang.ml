@@ -158,7 +158,12 @@ let registry_flags () =
   check "static update end hooks are null" false (e "STATIC_UPDATE").L.Registry.end_read;
   check "write_once write hooks are null" false (e "WRITE_ONCE").L.Registry.start_write;
   check "null protocol all null" false (e "NULL").L.Registry.start_read;
-  check "counter not optimizable" false (e "COUNTER").L.Registry.optimizable
+  check "counter not optimizable" false (e "COUNTER").L.Registry.optimizable;
+  (* derived: the state machines are actions the optimizer may move; the
+     race checker's observed accesses are not *)
+  check "static update optimizable" true (e "STATIC_UPDATE").L.Registry.optimizable;
+  check "pipeline optimizable" true (e "PIPELINE").L.Registry.optimizable;
+  check "race check not optimizable" false (e "RACE_CHECK").L.Registry.optimizable
 
 (* ---- optimization passes ---- *)
 
