@@ -43,17 +43,8 @@ let alloc (ctx : ctx) ~space ~len =
       ~space:sp.Protocol.sid
   in
   sp.Protocol.rids <- meta.Store.rid :: sp.Protocol.rids;
-  let rt = ctx.Protocol.rt in
-  let seq =
-    match Hashtbl.find_opt rt.Protocol.alloc_seq (space, me ctx) with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add rt.Protocol.alloc_seq (space, me ctx) r;
-        r
-  in
-  Hashtbl.replace rt.Protocol.names (space, me ctx, !seq) meta.Store.rid;
-  incr seq;
+  Ace_region.Collective.name ctx.Protocol.rt.Protocol.coll ~space ~owner:(me ctx)
+    meta.Store.rid;
   charge ctx (cost ctx).Cost_model.map_miss;
   meta
 
@@ -68,15 +59,7 @@ let map (ctx : ctx) r =
 
 let unmap (ctx : ctx) (_ : h) = charge ctx (cost ctx).Cost_model.unmap
 
-let data (ctx : ctx) (h : h) =
-  match Store.copy_of h ~node:(me ctx) with
-  | Some c -> c.Store.cdata
-  | None ->
-      (* Mapped but never accessed: materialize the (zeroed, Invalid) cache
-         entry mapping used to create eagerly. Host-side only — no cost. *)
-      if Store.is_mapped h ~node:(me ctx) then
-        (Store.ensure_copy_c h ~node:(me ctx)).Store.cdata
-      else invalid_arg "Ops.data: region not mapped on this node"
+let data (ctx : ctx) (h : h) = Store.data h ~node:(me ctx)
 
 (* The dispatcher charges only the space-indirection cost; each protocol
    handler charges its own processing (so a null handler really is nearly
@@ -219,49 +202,17 @@ let new_space (ctx : ctx) proto_name =
 
 let work (ctx : ctx) cycles = charge ctx cycles
 
-(* Deterministic region naming: the rid of the [seq]-th region [owner]
-   allocated from [space]. Remote queries are one name-service round trip
-   to the owner. Callers must synchronize (barrier) after the allocation
-   phase before looking names up. *)
 let global_id (ctx : ctx) ~space ~owner ~seq =
-  let rt = ctx.Protocol.rt in
-  let lookup () =
-    match Hashtbl.find_opt rt.Protocol.names (space, owner, seq) with
-    | Some rid -> rid
-    | None ->
-        invalid_arg
-          (Printf.sprintf "global_id (%d, %d, %d): not allocated (missing barrier?)"
-             space owner seq)
-  in
-  if owner = me ctx then begin
-    charge ctx (cost ctx).Cost_model.map_hit;
-    lookup ()
-  end
-  else
-    Ace_net.Reliable.rpc ctx.Protocol.bctx.Blocks.net ctx.Protocol.proc
-      ~dst:owner ~bytes:Blocks.ctl_bytes (fun reply ~time ->
-        let rid = lookup () in
-        Ace_net.Reliable.send ctx.Protocol.bctx.Blocks.net ~now:time ~src:owner
-          ~dst:(me ctx) ~bytes:Blocks.ctl_bytes (fun ~time ->
-            Ace_engine.Ivar.fill reply ~time rid))
+  Ace_region.Collective.global_id ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
+    ~space ~owner ~seq
 
 let bcast (ctx : ctx) ~root f =
-  let ctr = ref ctx.Protocol.coll_ctr in
-  let out =
-    Ace_region.Collective.bcast ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
-      ~ctr ~root f
-  in
-  ctx.Protocol.coll_ctr <- !ctr;
-  out
+  Ace_region.Collective.bcast ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
+    ~ctr:ctx.Protocol.coll_ctr ~root f
 
 let allgather (ctx : ctx) mine =
-  let ctr = ref ctx.Protocol.coll_ctr in
-  let out =
-    Ace_region.Collective.allgather ctx.Protocol.rt.Protocol.coll
-      ctx.Protocol.bctx ~ctr mine
-  in
-  ctx.Protocol.coll_ctr <- !ctr;
-  out
+  Ace_region.Collective.allgather ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
+    ~ctr:ctx.Protocol.coll_ctr mine
 
 (* The shared DSM facade (paper §5.1: same sources on both systems). *)
 module Api : Ace_region.Dsm_intf.S with type ctx = Protocol.ctx and type h = Store.meta =

@@ -36,11 +36,7 @@ type runtime = {
   mutable nspaces : int;
   registry : (string, protocol) Hashtbl.t;
   base_barrier : Machine.Barrier.b;
-  coll : Ace_region.Collective.t;
-  (* deterministic region naming: (space, owner, allocation seq) -> rid,
-     queried remotely via Ops.global_id *)
-  names : (int * int * int, int) Hashtbl.t;
-  alloc_seq : (int * int, int ref) Hashtbl.t;
+  coll : Ace_region.Collective.t; (* region names and collectives *)
   (* collective Ace_ChangeProtocol agreement: space sid -> (protocol name,
      node) posted by the first arriving node; later nodes must match it
      before any node reaches the swap barrier (cleared during the swap) *)
@@ -60,7 +56,7 @@ and ctx = {
   rt : runtime;
   proc : Machine.proc;
   bctx : Blocks.ctx;
-  mutable coll_ctr : int; (* collective-op matching counter *)
+  coll_ctr : int ref; (* collective-op matching counter *)
   mutable space_ctr : int; (* collective new_space matching counter *)
 }
 

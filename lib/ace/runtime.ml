@@ -29,8 +29,6 @@ let create ?(cost = Cost_model.cm5_ace) ?policy ~nprocs () =
       base_barrier =
         Machine.Barrier.create machine ~cost:(fun p -> Cost_model.barrier_cost cost p);
       coll = Ace_region.Collective.create ~nprocs;
-      names = Hashtbl.create 64;
-      alloc_seq = Hashtbl.create 16;
       change_req = Hashtbl.create 8;
       adapt = Protocol.Adapt_none;
     }
@@ -93,7 +91,7 @@ let make_ctx (rt : Protocol.runtime) (proc : Machine.proc) =
     Protocol.rt;
     proc;
     bctx = Blocks.make_ctx rt.Protocol.net rt.Protocol.store proc;
-    coll_ctr = 0;
+    coll_ctr = ref 0;
     space_ctr = 0;
   }
 

@@ -20,12 +20,10 @@ type t = {
   store : Store.t;
   base_barrier : Machine.Barrier.b;
   coll : Ace_region.Collective.t;
-  (* deterministic region naming, as in the Ace runtime: the [space]
-     argument is a pure naming namespace here (CRL regions have no
-     spaces), so the same SPMD sources resolve the same names on both
-     backends *)
-  names : (int * int * int, int) Hashtbl.t;
-  alloc_seq : (int * int, int ref) Hashtbl.t;
+      (* region names and collectives, shared with the Ace runtime: the
+         [space] argument is a pure naming namespace here (CRL regions have
+         no spaces), so the same SPMD sources resolve the same names on both
+         backends *)
 }
 
 let create ?(cost = Cost_model.cm5_crl) ?policy ~nprocs () =
@@ -40,19 +38,17 @@ let create ?(cost = Cost_model.cm5_crl) ?policy ~nprocs () =
     base_barrier =
       Machine.Barrier.create machine ~cost:(fun p -> Cost_model.barrier_cost cost p);
     coll = Ace_region.Collective.create ~nprocs;
-    names = Hashtbl.create 64;
-    alloc_seq = Hashtbl.create 16;
   }
 
 type ctx = {
   sys : t;
   proc : Machine.proc;
   bctx : Blocks.ctx;
-  mutable coll_ctr : int;
+  coll_ctr : int ref;
 }
 
 let make_ctx sys proc =
-  { sys; proc; bctx = Blocks.make_ctx sys.net sys.store proc; coll_ctr = 0 }
+  { sys; proc; bctx = Blocks.make_ctx sys.net sys.store proc; coll_ctr = ref 0 }
 
 let run sys program = Machine.run sys.machine (fun proc -> program (make_ctx sys proc))
 
@@ -71,21 +67,11 @@ let nprocs ctx = Machine.nprocs ctx.sys.machine
 let rid (h : h) = h.Store.rid
 let charge ctx c = Machine.advance ctx.proc c
 
-(* rgn_create: CRL regions are homed at their creator; [space] is ignored
-   (CRL has no spaces). *)
+(* rgn_create: CRL regions are homed at their creator; [space] only names
+   the region for [global_id] (CRL has no spaces). *)
 let alloc ctx ~space ~len =
   let meta = Store.alloc ctx.sys.store ~home:(me ctx) ~len ~space:(-1) in
-  let sys = ctx.sys in
-  let seq =
-    match Hashtbl.find_opt sys.alloc_seq (space, me ctx) with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add sys.alloc_seq (space, me ctx) r;
-        r
-  in
-  Hashtbl.replace sys.names (space, me ctx, !seq) meta.Store.rid;
-  incr seq;
+  Ace_region.Collective.name ctx.sys.coll ~space ~owner:(me ctx) meta.Store.rid;
   charge ctx ctx.sys.cost.Cost_model.map_miss;
   meta
 
@@ -99,15 +85,7 @@ let map ctx r =
 
 let unmap ctx (_ : h) = charge ctx ctx.sys.cost.Cost_model.unmap
 
-let data ctx (h : h) =
-  match Store.copy_of h ~node:(me ctx) with
-  | Some c -> c.Store.cdata
-  | None ->
-      (* Mapped but never accessed: materialize the (zeroed, Invalid) cache
-         entry mapping used to create eagerly. Host-side only — no cost. *)
-      if Store.is_mapped h ~node:(me ctx) then
-        (Store.ensure_copy_c h ~node:(me ctx)).Store.cdata
-      else invalid_arg "Crl.data: region not mapped on this node"
+let data ctx (h : h) = Store.data h ~node:(me ctx)
 
 let op_start_read = Machine.op "start_read"
 let op_end_read = Machine.op "end_read"
@@ -167,44 +145,16 @@ let change_protocol _ctx ~space:_ _name = ()
 (* CRL has no protocols to adapt between either. *)
 let adapt _ctx ~space:_ = None
 
-(* Deterministic region naming lookup; remote queries are one name-service
-   round trip to the owner (same convention as Ace's Ops.global_id). *)
-let global_id ctx ~space ~owner ~seq =
-  let sys = ctx.sys in
-  let lookup () =
-    match Hashtbl.find_opt sys.names (space, owner, seq) with
-    | Some rid -> rid
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Crl.global_id (%d, %d, %d): not allocated (missing barrier?)"
-             space owner seq)
-  in
-  if owner = me ctx then begin
-    charge ctx sys.cost.Cost_model.map_hit;
-    lookup ()
-  end
-  else
-    Ace_net.Reliable.rpc ctx.bctx.Blocks.net ctx.proc ~dst:owner
-      ~bytes:Blocks.ctl_bytes (fun reply ~time ->
-        let rid = lookup () in
-        Ace_net.Reliable.send ctx.bctx.Blocks.net ~now:time ~src:owner
-          ~dst:(me ctx) ~bytes:Blocks.ctl_bytes (fun ~time ->
-            Ace_engine.Ivar.fill reply ~time rid))
-
 let work ctx cycles = charge ctx cycles
 
+let global_id ctx ~space ~owner ~seq =
+  Ace_region.Collective.global_id ctx.sys.coll ctx.bctx ~space ~owner ~seq
+
 let bcast ctx ~root f =
-  let ctr = ref ctx.coll_ctr in
-  let out = Ace_region.Collective.bcast ctx.sys.coll ctx.bctx ~ctr ~root f in
-  ctx.coll_ctr <- !ctr;
-  out
+  Ace_region.Collective.bcast ctx.sys.coll ctx.bctx ~ctr:ctx.coll_ctr ~root f
 
 let allgather ctx mine =
-  let ctr = ref ctx.coll_ctr in
-  let out = Ace_region.Collective.allgather ctx.sys.coll ctx.bctx ~ctr mine in
-  ctx.coll_ctr <- !ctr;
-  out
+  Ace_region.Collective.allgather ctx.sys.coll ctx.bctx ~ctr:ctx.coll_ctr mine
 
 module Api : Ace_region.Dsm_intf.S with type ctx = ctx and type h = Store.meta =
 struct

@@ -240,19 +240,29 @@ let wire t ~src ~dst ~bytes ~now ~arrival f =
 
 module Fanin = struct
   type m = t
-  type t = { machine : m; mutable join : int (* -1 = none yet *) }
 
-  let create machine = { machine; join = -1 }
+  type t = {
+    machine : m;
+    mutable join : int; (* -1 = none yet *)
+    mutable pending : int;
+    complete : float -> unit;
+  }
 
-  let arrive f =
-    match f.machine.crit with
+  let create machine complete = { machine; join = -1; pending = 0; complete }
+  let expect f = f.pending <- f.pending + 1
+  let pending f = f.pending
+
+  let arrive f ~time =
+    (match f.machine.crit with
     | None -> ()
-    | Some c -> f.join <- Crit.join c f.join (Crit.cur c)
-
-  let adopt f =
-    match f.machine.crit with
-    | None -> ()
-    | Some c -> if f.join >= 0 then Crit.set_cur c f.join
+    | Some c -> f.join <- Crit.join c f.join (Crit.cur c));
+    f.pending <- f.pending - 1;
+    if f.pending = 0 then begin
+      (match f.machine.crit with
+      | None -> ()
+      | Some c -> if f.join >= 0 then Crit.set_cur c f.join);
+      f.complete time
+    end
 end
 
 (* Run one fiber under a deep handler: a [Park] only stores the

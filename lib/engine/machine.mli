@@ -109,21 +109,29 @@ val wire :
   t -> src:int -> dst:int -> bytes:int -> now:float -> arrival:float ->
   (unit -> unit) -> unit
 
-(** A causal fan-in: a completion gated on a counter of arrivals (acks,
-    pushes, batched grants) depends on all of them, not only on the one
-    that happened to arrive last. *)
+(** A counted fan-in: a completion that runs once every expected arrival
+    (acks, pushes, batched grants) has come in. Causally the completion
+    depends on all of them, not only on the one that happened to arrive
+    last. *)
 module Fanin : sig
   type m := t
   type t
 
-  val create : m -> t
+  (** A fan-in expecting no arrivals yet, whose completion is [k]. *)
+  val create : m -> (float -> unit) -> t
 
-  (** Fold the current causal context in (at each contributing arrival). *)
-  val arrive : t -> unit
+  (** Expect one more arrival. A late arrival may be expected while
+      others are in flight, as long as the count has not reached zero. *)
+  val expect : t -> unit
 
-  (** Make the join of all arrivals the current cause (just before the
-      completion fills or grants). *)
-  val adopt : t -> unit
+  (** Arrivals still expected. A fan-in that expects none never
+      completes by itself: its creator runs the completion directly. *)
+  val pending : t -> int
+
+  (** One expected arrival at [time]: folds the current causal context in;
+      the last one makes the join of all arrivals the current cause and
+      runs the completion at [time]. *)
+  val arrive : t -> time:float -> unit
 end
 
 (** Block the calling fiber until the ivar is filled; the processor clock is

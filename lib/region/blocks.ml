@@ -174,6 +174,42 @@ let transact ctx meta body =
                 Ivar.fill reply ~time ();
                 dir_exit meta ~time)))
 
+(* An update [buf] lands in the master: the home's copy (an alias of the
+   master) is valid again and the home a sharer. *)
+let land_home meta buf =
+  let home = meta.Store.home in
+  Store.blit_in meta ~buf ~at:0 meta.Store.master;
+  (match Store.copy_of meta ~node:home with
+  | Some c -> if c.Store.cstate = Store.Invalid then c.Store.cstate <- Store.Shared
+  | None -> ());
+  Dir.add meta.Store.dir.Store.sharers home
+
+(* The master takes a remote exclusive owner's data [buf] and ownership
+   returns to the home. (The home's copy cannot be Exclusive while another
+   node owns the region, so it ends up Shared.) *)
+let take_owner_data meta buf =
+  meta.Store.dir.Store.owner <- -1;
+  land_home meta buf
+
+(* A consumer's copy takes a pushed update [buf] once any access section
+   open on it ends; an Invalid copy becomes Shared. *)
+let refresh meta (c : Store.copy) ~time buf =
+  run_or_defer c ~time (fun _ ->
+      Store.blit_in meta ~buf ~at:0 c.Store.cdata;
+      if c.Store.cstate = Store.Invalid then c.Store.cstate <- Store.Shared)
+
+(* A home write (pipelined or write-combined) lands in the master under the
+   directory and fills [iv]. *)
+let land_write meta buf iv ~time =
+  dir_enter meta ~time (fun time ->
+      Store.blit_in meta ~buf ~at:0 meta.Store.master;
+      Ivar.fill iv ~time ();
+      dir_exit meta ~time)
+
+(* A fan-in whose completion fills [iv]. *)
+let fan_filling ctx iv =
+  Machine.Fanin.create ctx.proc.Machine.machine (fun time -> Ivar.fill iv ~time ())
+
 (* Recall the exclusive owner's data into the master. [downgrade] is the
    state the owner's copy is left in. Calls [k] at the home once the master
    is fresh. Must run inside a directory transaction. *)
@@ -183,14 +219,6 @@ let recall_owner ctx meta ~time ~downgrade k =
   if o < 0 then k time
   else begin
     let home = meta.Store.home in
-    let finish time =
-      d.Store.owner <- -1;
-      (match Store.copy_of meta ~node:home with
-      | Some c -> c.Store.cstate <- Store.Shared
-      | None -> ());
-      Dir.add d.Store.sharers home;
-      k time
-    in
     if o = home then begin
       (* The master already aliases the owner's data. *)
       let c =
@@ -216,8 +244,8 @@ let recall_owner ctx meta ~time ~downgrade k =
               let snapshot = Store.snapshot meta ~src:oc.Store.cdata in
               Net.send ctx.net ~now:time ~src:o ~dst:home ~bytes:(data_bytes meta)
                 (fun ~time ->
-                  Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-                  finish time)))
+                  take_owner_data meta snapshot;
+                  k time)))
   end
 
 let stats ctx = Machine.stats (Net.machine ctx.net)
@@ -231,10 +259,7 @@ let stats ctx = Machine.stats (Net.machine ctx.net)
 let wpart w =
   let meta = w.wp_meta in
   Net.part ~dst:meta.Store.home ~bytes:(data_bytes meta) (fun ~time ->
-      dir_enter meta ~time (fun time ->
-          Store.blit_in meta ~buf:w.wp_payload ~at:0 meta.Store.master;
-          Ivar.fill w.wp_iv ~time ();
-          dir_exit meta ~time))
+      land_write meta w.wp_payload w.wp_iv ~time)
 
 (* Flush the queue as one vectored send: same-home updates coalesce into a
    single bulk message, and the whole flush charges one sender overhead. *)
@@ -337,11 +362,11 @@ let fetch_shared_batch ctx metas =
       missing;
     let homes = List.rev_map (fun (h, ms) -> (h, List.rev ms)) !by_home in
     let done_iv = Ivar.create () in
-    let groups = ref (List.length homes) in
-    let fan = Machine.Fanin.create ctx.proc.Machine.machine in
+    let fan = fan_filling ctx done_iv in
     let parts =
       List.map
         (fun (h, group) ->
+          Machine.Fanin.expect fan;
           let total =
             List.fold_left (fun a (m : Store.meta) -> a + m.Store.len) 0 group
           in
@@ -364,12 +389,7 @@ let fetch_shared_batch ctx metas =
                             c.Store.cstate <- Store.Shared;
                             at := !at + meta.Store.len)
                           group;
-                        Machine.Fanin.arrive fan;
-                        decr groups;
-                        if !groups = 0 then begin
-                          Machine.Fanin.adopt fan;
-                          Ivar.fill done_iv ~time ()
-                        end)
+                        Machine.Fanin.arrive fan ~time)
                 | (meta : Store.meta) :: rest ->
                     dir_enter meta ~time (fun time ->
                         recall_owner ctx meta ~time ~downgrade:Store.Shared
@@ -399,16 +419,6 @@ let fetch_exclusive ctx meta =
     Machine.advance ctx.proc (Net.cost ctx.net).Ace_net.Cost_model.miss_overhead;
     transact ctx meta (fun ~time finish ->
         recall_owner ctx meta ~time ~downgrade:Store.Invalid (fun time ->
-            (* Invalidate every sharer except the requester, gathering acks;
-               a sharer mid-access defers its invalidation (and thus its
-               ack) until the access ends. Victims are counted up front so
-               no ack can observe outstanding = 0 early; the send loop below
-               revisits the same nodes (invalidations only clear bits the
-               loop filters out anyway). *)
-            let n_victims = ref 0 in
-            Store.iter_sharers meta ~except:n (fun s ->
-                if s <> home then incr n_victims);
-            let invalidate_home = (Dir.mem d.Store.sharers home) && home <> n in
             let had_valid_copy = copy.Store.cstate = Store.Shared in
             let grant time =
               d.Store.owner <- n;
@@ -431,24 +441,24 @@ let fetch_exclusive ctx meta =
                     finish ~time)
               end
             in
-            let outstanding =
-              ref (!n_victims + if invalidate_home then 1 else 0)
-            in
-            let fan = Machine.Fanin.create ctx.proc.Machine.machine in
+            (* Invalidate every sharer except the requester, gathering acks;
+               a sharer mid-access defers its invalidation (and thus its
+               ack) until the access ends. Victims are counted up front, as
+               the home's own invalidation may ack at once; the send loop
+               below revisits the same nodes (invalidations only clear bits
+               the loop filters out anyway). *)
+            let fan = Machine.Fanin.create ctx.proc.Machine.machine grant in
+            Store.iter_sharers meta ~except:n (fun s ->
+                if s <> home then Machine.Fanin.expect fan);
+            let invalidate_home = Dir.mem d.Store.sharers home && home <> n in
+            if invalidate_home then Machine.Fanin.expect fan;
+            let victims = Machine.Fanin.pending fan in
             let st = stats ctx in
-            Stats.observe st hist_inval_fanout (float_of_int !outstanding);
-            if meta.Store.space >= 0 && !outstanding > 0 then
+            Stats.observe st hist_inval_fanout (float_of_int victims);
+            if meta.Store.space >= 0 && victims > 0 then
               Stats.add_dim st fam_inval_space meta.Store.space
-                (float_of_int !outstanding);
-            let acked time =
-              Machine.Fanin.arrive fan;
-              decr outstanding;
-              if !outstanding = 0 then begin
-                Machine.Fanin.adopt fan;
-                grant time
-              end
-            in
-            if !outstanding = 0 then grant time
+                (float_of_int victims);
+            if victims = 0 then grant time
             else begin
               if invalidate_home then begin
                 match Store.copy_of meta ~node:home with
@@ -456,10 +466,10 @@ let fetch_exclusive ctx meta =
                     run_or_defer c ~time (fun time ->
                         c.Store.cstate <- Store.Invalid;
                         Dir.remove d.Store.sharers home;
-                        acked time)
+                        Machine.Fanin.arrive fan ~time)
                 | None ->
                     Dir.remove d.Store.sharers home;
-                    acked time
+                    Machine.Fanin.arrive fan ~time
               end;
               Store.iter_sharers meta ~except:n (fun s ->
                   if s <> home then
@@ -476,7 +486,7 @@ let fetch_exclusive ctx meta =
                           Net.send ctx.net ~now:time ~src:s ~dst:home
                             ~bytes:ctl_bytes (fun ~time ->
                               Dir.remove d.Store.sharers s;
-                              acked time)
+                              Machine.Fanin.arrive fan ~time)
                         in
                         match Store.copy_of meta ~node:s with
                         | Some c -> run_or_defer c ~time act
@@ -505,13 +515,8 @@ let writeback ctx meta =
       Net.rpc ctx.net ctx.proc ~dst:home ~bytes:(data_bytes meta)
         (fun reply ~time ->
           dir_enter meta ~time (fun time ->
-              Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-              d.Store.owner <- -1;
+              take_owner_data meta snapshot;
               copy.Store.cstate <- Store.Shared;
-              (match Store.copy_of meta ~node:home with
-              | Some c -> c.Store.cstate <- Store.Shared
-              | None -> ());
-              Dir.add d.Store.sharers home;
               Ivar.fill reply ~time ();
               dir_exit meta ~time))
     end
@@ -545,9 +550,8 @@ let invalidate_batch ctx metas =
   drain ctx;
   reset_lcache ctx;
   let n = node ctx in
-  let outstanding = ref 0 in
-  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   let done_iv = Ivar.create () in
+  let fan = fan_filling ctx done_iv in
   let parts = ref [] in
   let home_owned = ref [] in
   List.iter
@@ -571,28 +575,14 @@ let invalidate_batch ctx metas =
                 else [||]
               in
               copy.Store.cstate <- Store.Invalid;
-              incr outstanding;
+              Machine.Fanin.expect fan;
               parts :=
                 Net.part ~dst:home ~bytes (fun ~time ->
                     dir_enter meta ~time (fun time ->
-                        let d = meta.Store.dir in
-                        if owned then begin
-                          Store.blit_in meta ~buf:payload ~at:0
-                            meta.Store.master;
-                          d.Store.owner <- -1;
-                          (match Store.copy_of meta ~node:home with
-                          | Some c -> c.Store.cstate <- Store.Shared
-                          | None -> ());
-                          Dir.add d.Store.sharers home
-                        end;
-                        Dir.remove d.Store.sharers n;
+                        if owned then take_owner_data meta payload;
+                        Dir.remove meta.Store.dir.Store.sharers n;
                         dir_exit meta ~time;
-                        Machine.Fanin.arrive fan;
-                        decr outstanding;
-                        if !outstanding = 0 then begin
-                          Machine.Fanin.adopt fan;
-                          Ivar.fill done_iv ~time ()
-                        end))
+                        Machine.Fanin.arrive fan ~time))
                 :: !parts
             end;
             if
@@ -601,41 +591,30 @@ let invalidate_batch ctx metas =
             then Store.drop_copy meta ~node:n)
     metas;
   List.iter (fun meta -> writeback ctx meta) (List.rev !home_owned);
-  if !outstanding > 0 then begin
+  if Machine.Fanin.pending fan > 0 then begin
     Stats.incr_id (stats ctx) sid_inval_batch;
     Net.send_multi_from ctx.net ctx.proc (List.rev !parts);
     Machine.await ctx.proc done_iv
   end
 
-(* Forward [snapshot] to every current sharer except [n] and the home,
-   refreshing their caches. Runs at the home inside a transaction; calls
-   [all_delivered ~time] once every forward has landed (immediately when
-   there is nothing to forward). *)
-let forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered =
+(* At the home, inside a transaction: forward [snapshot] to every current
+   sharer except the writer [n], the home and the nodes in [skip], each
+   forward one more arrival of [fan]. A push names its targets in [skip]
+   (never empty: the home is one), so what it forwards here reached
+   sharers the writer's list missed: late forwards. *)
+let forward_to_sharers ctx meta ~time ~snapshot ~n ~skip fan =
   let home = meta.Store.home in
-  let outstanding = ref 0 in
-  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
   Store.iter_sharers meta ~except:n (fun s ->
-      if s <> home then incr outstanding);
-  if !outstanding = 0 then all_delivered ~time
-  else
-    Store.iter_sharers meta ~except:n (fun s ->
-        if s <> home then
-          Net.send ctx.net ~now:time ~src:home ~dst:s ~bytes:(data_bytes meta)
-            (fun ~time ->
-              (match Store.copy_of meta ~node:s with
-              | Some c ->
-                  run_or_defer c ~time (fun _ ->
-                      Store.blit_in meta ~buf:snapshot ~at:0 c.Store.cdata;
-                      if c.Store.cstate = Store.Invalid then
-                        c.Store.cstate <- Store.Shared)
-              | None -> ());
-              Machine.Fanin.arrive fan;
-              decr outstanding;
-              if !outstanding = 0 then begin
-                Machine.Fanin.adopt fan;
-                all_delivered ~time
-              end))
+      if s <> home && not (List.mem s skip) then begin
+        if skip <> [] then Stats.incr_id (stats ctx) sid_late_forward;
+        Machine.Fanin.expect fan;
+        Net.send ctx.net ~now:time ~src:home ~dst:s ~bytes:(data_bytes meta)
+          (fun ~time ->
+            (match Store.copy_of meta ~node:s with
+            | Some c -> refresh meta c ~time snapshot
+            | None -> ());
+            Machine.Fanin.arrive fan ~time)
+      end)
 
 (* The ivar fills once every consumer copy has been refreshed, so a writer
    awaiting it cannot race its own update past a barrier. *)
@@ -645,71 +624,87 @@ let push_update ctx meta =
   let home = meta.Store.home in
   let snapshot = Store.snapshot meta ~src:copy.Store.cdata in
   let done_iv = Ivar.create () in
+  let fan = fan_filling ctx done_iv in
   Stats.incr_id (stats ctx) sid_update_push;
-  let all_delivered ~time = Ivar.fill done_iv ~time () in
-  if n = home then
-    (* Home writes land in the master via aliasing: only forward. *)
-    dir_enter meta ~time:ctx.proc.Machine.clock (fun time ->
-        forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered;
-        dir_exit meta ~time)
+  (* Home writes land in the master via aliasing: only forward. *)
+  let at_home time =
+    if n <> home then land_home meta snapshot;
+    forward_to_sharers ctx meta ~time ~snapshot ~n ~skip:[] fan;
+    if Machine.Fanin.pending fan = 0 then Ivar.fill done_iv ~time ();
+    dir_exit meta ~time
+  in
+  if n = home then dir_enter meta ~time:ctx.proc.Machine.clock at_home
   else
     Net.send_from ctx.net ctx.proc ~dst:home ~bytes:(data_bytes meta)
-      (fun ~time ->
-        dir_enter meta ~time (fun time ->
-            Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-            (match Store.copy_of meta ~node:home with
-            | Some c ->
-                if c.Store.cstate = Store.Invalid then
-                  c.Store.cstate <- Store.Shared
-            | None -> ());
-            Dir.add meta.Store.dir.Store.sharers home;
-            forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered;
-            dir_exit meta ~time));
+      (fun ~time -> dir_enter meta ~time at_home);
   done_iv
 
-let push_to ctx meta ~dsts =
-  let n = node ctx in
-  let copy = local_copy ctx meta in
+(* [ts] plus each of [ds] that is neither the writer [n] nor in [ts]. *)
+let rec add_targets n ts = function
+  | [] -> ts
+  | d :: ds -> add_targets n (if d = n || List.mem d ts then ts else d :: ts) ds
+
+(* How many of [ts] are in the sharer set [sharers]. *)
+let rec count_sharers sharers = function
+  | [] -> 0
+  | d :: ds -> Bool.to_int (Dir.mem sharers d) + count_sharers sharers ds
+
+(* Who node [n]'s push of [meta] goes to, in ascending order: the home and
+   [dsts], without [n]. A home writer also pushes to every current sharer
+   of its directory (a local table read), so a reader that joined after
+   [dsts] was learned is refreshed as well; the sharers are only walked
+   when the counts show one missing. *)
+let push_targets meta ~n dsts =
   let home = meta.Store.home in
-  let snapshot = Store.snapshot meta ~src:copy.Store.cdata in
-  let done_iv = Ivar.create () in
-  let remote_targets =
-    List.sort_uniq compare (List.filter (fun d -> d <> n) (home :: dsts))
+  let sharers = meta.Store.dir.Store.sharers in
+  let ts = add_targets n (if n = home then [] else [ home ]) dsts in
+  let unlisted =
+    n = home
+    && count_sharers sharers ts < Dir.count sharers - Bool.to_int (Dir.mem sharers n)
   in
+  List.sort compare
+    (if unlisted then
+       Dir.fold sharers ~except:n (fun ts s -> if List.mem s ts then ts else s :: ts) ts
+     else ts)
+
+(* One pushed update from [ctx]'s node arriving at [dst], one arrival of
+   [fan]. [targets] is the writer's view of who to refresh, taken before
+   the send; a reader whose fetch reaches the home in flight, or one that
+   started reading after the consumers were learned, is a sharer missing
+   from it. So at the home the update lands in the master under the
+   directory and is forwarded to every sharer [targets] missed; at a
+   consumer it refreshes the copy. *)
+let deliver_push ctx meta ~targets ~snapshot fan dst ~time =
+  if dst = meta.Store.home then
+    dir_enter meta ~time (fun time ->
+        land_home meta snapshot;
+        forward_to_sharers ctx meta ~time ~snapshot ~n:ctx.node ~skip:targets fan;
+        dir_exit meta ~time;
+        Machine.Fanin.arrive fan ~time)
+  else begin
+    refresh meta (Store.ensure_copy_c meta ~node:dst) ~time snapshot;
+    Dir.add meta.Store.dir.Store.sharers dst;
+    Machine.Fanin.arrive fan ~time
+  end
+
+let push_to ctx meta ~dsts =
+  let snapshot = Store.snapshot meta ~src:(local_copy ctx meta).Store.cdata in
+  let targets = push_targets meta ~n:ctx.node dsts in
+  let done_iv = Ivar.create () in
+  let fan = fan_filling ctx done_iv in
   Stats.incr_id (stats ctx) sid_static_push;
-  (* When the writer is the home, the master is already fresh (aliasing)
-     and only remote consumers appear in [remote_targets]. *)
-  let outstanding = ref (List.length remote_targets) in
-  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
-  if !outstanding = 0 then Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
+  (* Every send parks the writer for its overhead, so a delivery can land
+     before the next send: count all targets first. *)
+  for _ = 1 to List.length targets do
+    Machine.Fanin.expect fan
+  done;
+  if targets = [] then Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
   else
     List.iter
       (fun dst ->
         Net.send_from ctx.net ctx.proc ~dst ~bytes:(data_bytes meta)
-          (fun ~time ->
-            (if dst = home then begin
-               Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-               match Store.copy_of meta ~node:home with
-               | Some c ->
-                   if c.Store.cstate = Store.Invalid then
-                     c.Store.cstate <- Store.Shared
-               | None -> ()
-             end
-             else begin
-               let c = Store.ensure_copy_c meta ~node:dst in
-               run_or_defer c ~time (fun _ ->
-                   Store.blit_in meta ~buf:snapshot ~at:0 c.Store.cdata;
-                   if c.Store.cstate = Store.Invalid then
-                     c.Store.cstate <- Store.Shared)
-             end);
-            Dir.add meta.Store.dir.Store.sharers dst;
-            Machine.Fanin.arrive fan;
-            decr outstanding;
-            if !outstanding = 0 then begin
-              Machine.Fanin.adopt fan;
-              Ivar.fill done_iv ~time ()
-            end))
-      remote_targets;
+          (fun ~time -> deliver_push ctx meta ~targets ~snapshot fan dst ~time))
+      targets;
   done_iv
 
 (* Write-combined static update: push every (region, consumers) item of the
@@ -725,81 +720,27 @@ let push_to_batch ctx items =
      first so they cannot be stranded behind the push (e.g. a protocol
      detach publishing its last batch before a change_protocol swap). *)
   drain ctx;
-  let n = node ctx in
   let done_iv = Ivar.create () in
-  let outstanding = ref 0 in
-  let fan = Machine.Fanin.create ctx.proc.Machine.machine in
+  let fan = fan_filling ctx done_iv in
   let parts = ref [] in
   let st = stats ctx in
   List.iter
     (fun ((meta : Store.meta), dsts) ->
       let copy = local_copy ctx meta in
-      let home = meta.Store.home in
       Stats.incr_id st sid_static_push;
       let snapshot = Store.snapshot meta ~src:copy.Store.cdata in
-      let targets =
-        List.sort_uniq compare (List.filter (fun d -> d <> n) (home :: dsts))
-      in
+      let targets = push_targets meta ~n:ctx.node dsts in
       List.iter
         (fun dst ->
-          incr outstanding;
-          let delivered ~time =
-            Machine.Fanin.arrive fan;
-            decr outstanding;
-            if !outstanding = 0 then begin
-              Machine.Fanin.adopt fan;
-              Ivar.fill done_iv ~time ()
-            end
-          in
+          Machine.Fanin.expect fan;
           parts :=
             Net.part ~dst ~bytes:(data_bytes meta) (fun ~time ->
-                if dst = home then
-                  (* [targets] is the writer's host view of the sharer set
-                     from before the send; a reader whose fetch lands at the
-                     home in flight holds the old master as a Shared copy and
-                     is missing from it. Take the directory like
-                     [push_update]'s home path and forward the payload to any
-                     sharer the writer's list missed, so the batch refreshes
-                     exactly the copies the unbatched push would have. *)
-                  dir_enter meta ~time (fun time ->
-                      Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-                      (match Store.copy_of meta ~node:home with
-                      | Some c ->
-                          if c.Store.cstate = Store.Invalid then
-                            c.Store.cstate <- Store.Shared
-                      | None -> ());
-                      Dir.add meta.Store.dir.Store.sharers dst;
-                      Store.iter_sharers meta ~except:n (fun s ->
-                          if s <> home && not (List.mem s targets) then begin
-                            incr outstanding;
-                            Stats.incr_id st sid_late_forward;
-                            Net.send ctx.net ~now:time ~src:home ~dst:s
-                              ~bytes:(data_bytes meta) (fun ~time ->
-                                (match Store.copy_of meta ~node:s with
-                                | Some c ->
-                                    run_or_defer c ~time (fun _ ->
-                                        Store.blit_in meta ~buf:snapshot ~at:0
-                                          c.Store.cdata;
-                                        if c.Store.cstate = Store.Invalid then
-                                          c.Store.cstate <- Store.Shared)
-                                | None -> ());
-                                delivered ~time)
-                          end);
-                      dir_exit meta ~time;
-                      delivered ~time)
-                else begin
-                  (let c = Store.ensure_copy_c meta ~node:dst in
-                   run_or_defer c ~time (fun _ ->
-                       Store.blit_in meta ~buf:snapshot ~at:0 c.Store.cdata;
-                       if c.Store.cstate = Store.Invalid then
-                         c.Store.cstate <- Store.Shared));
-                  Dir.add meta.Store.dir.Store.sharers dst;
-                  delivered ~time
-                end)
+                deliver_push ctx meta ~targets ~snapshot fan dst ~time)
             :: !parts)
         targets)
     items;
-  if !outstanding = 0 then Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
+  if Machine.Fanin.pending fan = 0 then
+    Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
   else Net.send_multi_from ctx.net ctx.proc (List.rev !parts);
   done_iv
 
@@ -825,24 +766,28 @@ let write_home_async ctx meta =
   let done_iv = Ivar.create () in
   if n = meta.Store.home then Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
   else begin
-    let home = meta.Store.home in
     let snapshot = Store.snapshot meta ~src:copy.Store.cdata in
-    Net.send_from ctx.net ctx.proc ~dst:home ~bytes:(data_bytes meta)
-      (fun ~time ->
-        dir_enter meta ~time (fun time ->
-            Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-            Ivar.fill done_iv ~time ();
-            dir_exit meta ~time))
+    Net.send_from ctx.net ctx.proc ~dst:meta.Store.home ~bytes:(data_bytes meta)
+      (fun ~time -> land_write meta snapshot done_iv ~time)
   end;
   done_iv
 
-(* Queued locks serialized at the region's home. Grant closures either send
-   a grant message (remote waiter) or fill the local waiter's ivar. *)
-let home_lock ctx meta =
-  drain ctx;
+(* Acquire the region's lock, queued at its home. At the home the caller
+   takes it or queues a waiter and awaits. Remotely an rpc asks the home,
+   whose grant is a control message or, with [~fetch], the master data:
+   the local copy becomes a Shared snapshot of the master as of grant
+   time (one round trip for lock + fresh value). A fetching request
+   carries any write-combined updates along: those for this home coalesce
+   with it into one vectored message (the request part runs after they
+   land, preserving queue order), and those for other homes flush in the
+   same injection under one sender overhead. *)
+let acquire ctx meta ~fetch =
   let n = node ctx in
+  let copy = if fetch then Some (local_copy ctx meta) else None in
   let l = meta.Store.lock in
   let home = meta.Store.home in
+  let ride = fetch && n <> home && ctx.wpending <> [] in
+  if not ride then drain ctx;
   if n = home then begin
     if l.Store.held_by < 0 then l.Store.held_by <- n
     else begin
@@ -851,17 +796,41 @@ let home_lock ctx meta =
       Machine.await ctx.proc iv
     end
   end
-  else
-    Net.rpc ctx.net ctx.proc ~dst:home ~bytes:ctl_bytes (fun reply ~time ->
-        let grant time =
-          Net.send ctx.net ~now:time ~src:home ~dst:n ~bytes:ctl_bytes
-            (fun ~time -> Ivar.fill reply ~time ())
-        in
-        if l.Store.held_by < 0 then begin
-          l.Store.held_by <- n;
-          grant time
-        end
-        else Queue.push (n, grant) l.Store.waiting)
+  else begin
+    let request reply ~time =
+      let grant time =
+        match copy with
+        | None ->
+            Net.send ctx.net ~now:time ~src:home ~dst:n ~bytes:ctl_bytes
+              (fun ~time -> Ivar.fill reply ~time ())
+        | Some copy ->
+            let snapshot = Store.snapshot meta ~src:meta.Store.master in
+            Net.send ctx.net ~now:time ~src:home ~dst:n ~bytes:(data_bytes meta)
+              (fun ~time ->
+                Store.blit_in meta ~buf:snapshot ~at:0 copy.Store.cdata;
+                copy.Store.cstate <- Store.Shared;
+                Ivar.fill reply ~time ())
+      in
+      if l.Store.held_by < 0 then begin
+        l.Store.held_by <- n;
+        grant time
+      end
+      else Queue.push (n, grant) l.Store.waiting
+    in
+    if not ride then Net.rpc ctx.net ctx.proc ~dst:home ~bytes:ctl_bytes request
+    else begin
+      let ws = ctx.wpending in
+      ctx.wpending <- [];
+      let reply = Ivar.create () in
+      Net.send_multi_from ctx.net ctx.proc
+        (List.rev_map wpart ws
+        @ [ Net.part ~dst:home ~bytes:ctl_bytes (fun ~time -> request reply ~time) ]);
+      Machine.await ctx.proc reply
+    end
+  end
+
+let home_lock ctx meta = acquire ctx meta ~fetch:false
+let lock_fetch ctx meta = acquire ctx meta ~fetch:true
 
 let release_lock (l : Store.hlock) ~time =
   match Queue.take_opt l.Store.waiting with
@@ -882,63 +851,6 @@ let home_unlock ctx meta =
       (fun ~time ->
         assert (l.Store.held_by = n);
         release_lock l ~time)
-
-(* Home-executed read-modify-write: one blocking round trip acquires the
-   region's lock *and* returns the current master value; the release ships
-   the new value and unlocks in a single one-way message. This is the
-   fetch-and-add building block behind the TSP counter protocol. *)
-let rmw_acquire ctx meta =
-  drain ctx;
-  let n = node ctx in
-  let copy = local_copy ctx meta in
-  let l = meta.Store.lock in
-  if n = meta.Store.home then begin
-    if l.Store.held_by < 0 then l.Store.held_by <- n
-    else begin
-      let iv = Ivar.create () in
-      Queue.push (n, fun time -> Ivar.fill iv ~time ()) l.Store.waiting;
-      Machine.await ctx.proc iv
-    end
-  end
-  else begin
-    let home = meta.Store.home in
-    Net.rpc ctx.net ctx.proc ~dst:home ~bytes:ctl_bytes (fun reply ~time ->
-        let grant time =
-          let snapshot = Store.snapshot meta ~src:meta.Store.master in
-          Net.send ctx.net ~now:time ~src:home ~dst:n ~bytes:(data_bytes meta)
-            (fun ~time ->
-              Store.blit_in meta ~buf:snapshot ~at:0 copy.Store.cdata;
-              Ivar.fill reply ~time ())
-        in
-        if l.Store.held_by < 0 then begin
-          l.Store.held_by <- n;
-          grant time
-        end
-        else Queue.push (n, grant) l.Store.waiting)
-  end
-
-let rmw_release ctx meta =
-  let n = node ctx in
-  let l = meta.Store.lock in
-  let done_iv = Ivar.create () in
-  if n = meta.Store.home then begin
-    assert (l.Store.held_by = n);
-    release_lock l ~time:ctx.proc.Machine.clock;
-    Ivar.fill done_iv ~time:ctx.proc.Machine.clock ()
-  end
-  else begin
-    let copy =
-      match Store.copy_of meta ~node:n with Some c -> c | None -> assert false
-    in
-    let snapshot = Store.snapshot meta ~src:copy.Store.cdata in
-    Net.send_from ctx.net ctx.proc ~dst:meta.Store.home ~bytes:(data_bytes meta)
-      (fun ~time ->
-        assert (l.Store.held_by = n);
-        Store.blit_in meta ~buf:snapshot ~at:0 meta.Store.master;
-        release_lock l ~time;
-        Ivar.fill done_iv ~time ())
-  end;
-  done_iv
 
 (* Ship-the-operation fetch-and-add: the home's message handler applies the
    increment and replies with the old value — one round trip, no lock held
@@ -988,55 +900,3 @@ let unlock_after ctx meta (after : unit Ivar.t) =
   Ivar.on_fill after (fun ~time () ->
       assert (l.Store.held_by = n);
       release_lock l ~time)
-
-(* Acquire the region's home lock with the grant carrying the master data
-   (one round trip for lock + fresh value). The local copy becomes a valid
-   snapshot of the master as of grant time. *)
-let lock_fetch ctx meta =
-  let n = node ctx in
-  let copy = local_copy ctx meta in
-  let l = meta.Store.lock in
-  let home = meta.Store.home in
-  if n = home then begin
-    drain ctx;
-    if l.Store.held_by < 0 then l.Store.held_by <- n
-    else begin
-      let iv = Ivar.create () in
-      Queue.push (n, fun time -> Ivar.fill iv ~time ()) l.Store.waiting;
-      Machine.await ctx.proc iv
-    end
-  end
-  else begin
-    let request reply ~time =
-      let grant time =
-        let snapshot = Store.snapshot meta ~src:meta.Store.master in
-        Net.send ctx.net ~now:time ~src:home ~dst:n ~bytes:(data_bytes meta)
-          (fun ~time ->
-            Store.blit_in meta ~buf:snapshot ~at:0 copy.Store.cdata;
-            copy.Store.cstate <- Store.Shared;
-            Ivar.fill reply ~time ())
-      in
-      if l.Store.held_by < 0 then begin
-        l.Store.held_by <- n;
-        grant time
-      end
-      else Queue.push (n, grant) l.Store.waiting
-    in
-    match ctx.wpending with
-    | [] -> Net.rpc ctx.net ctx.proc ~dst:home ~bytes:ctl_bytes request
-    | ws ->
-        (* Write-combining: queued updates ride with the lock request —
-           updates for this home coalesce with it into one vectored message
-           (the request part runs after the updates land, preserving queue
-           order), and pending updates for other homes flush in the same
-           injection under one sender overhead. *)
-        ctx.wpending <- [];
-        let reply = Ivar.create () in
-        let parts =
-          List.rev_map wpart ws
-          @ [ Net.part ~dst:home ~bytes:ctl_bytes (fun ~time ->
-                request reply ~time) ]
-        in
-        Net.send_multi_from ctx.net ctx.proc parts;
-        Machine.await ctx.proc reply
-  end

@@ -5,7 +5,16 @@
     library. Protocols (and the CRL baseline) are written by composing these
     primitives. All blocking entry points must be called from a simulated
     processor fiber; home-side transactions are serialized per region by the
-    directory's busy/pending queue. *)
+    directory's busy/pending queue.
+
+    Each coherence leg is written once and shared by the entry points that
+    use it: one update landing in the master (pushes, write-backs, recalls,
+    pipelined and write-combined writes), one refresh of a consumer's copy,
+    one per-destination push delivery (unbatched and batched pushes alike,
+    with the home forwarding to sharers the writer's list missed), one lock
+    acquire (with or without the data), and one counted fan-in
+    ({!Ace_engine.Machine.Fanin}) for every leg that gathers acks, grants
+    or deliveries. *)
 
 (** A dirty-region update parked for write-combining (batching mode). *)
 type wpend
@@ -70,8 +79,10 @@ val flush : ctx -> Store.meta -> unit
 val push_update : ctx -> Store.meta -> unit Ace_engine.Ivar.t
 
 (** Send this node's copy directly to an explicit set of nodes (plus the
-    home master), the static-update pattern. Fills when all data messages
-    have been delivered. *)
+    home master), the static-update pattern. The push also reaches every
+    sharer [dsts] misses: the home forwards it to them, and a home writer
+    adds its directory's sharers to the targets. Fills when every copy has
+    been refreshed. *)
 val push_to : ctx -> Store.meta -> dsts:int list -> unit Ace_engine.Ivar.t
 
 (** {2 Home-mediated uncached access (counters, pipelined writes)} *)
@@ -84,21 +95,13 @@ val write_home_async : ctx -> Store.meta -> unit Ace_engine.Ivar.t
 
 (** {2 Region locks (queued at the home)} *)
 
+(** Acquire the region's lock: one round trip from a remote node, a local
+    queue operation at the home. *)
 val home_lock : ctx -> Store.meta -> unit
+
 val home_unlock : ctx -> Store.meta -> unit
 
-(** {2 Home-executed read-modify-write}
-
-    [rmw_acquire] takes the region lock and fetches the fresh master in one
-    blocking round trip; [rmw_release] ships the updated value and releases
-    in a single one-way message. Together they implement fetch-and-add
-    without migrating or caching the region. *)
-
-val rmw_acquire : ctx -> Store.meta -> unit
-
-(** Returns an ivar filled when the value+release lands at the home (for
-    pipelined drains); the caller is never blocked. *)
-val rmw_release : ctx -> Store.meta -> unit Ace_engine.Ivar.t
+(** {2 Home-executed read-modify-write} *)
 
 (** Home-executed fetch-and-add on slot 0: one round trip; the old value is
     left in slot 0 of the caller's local copy. Not for the home node (its
@@ -145,7 +148,8 @@ val fetch_shared_batch : ctx -> Store.meta list -> unit
 val invalidate_batch : ctx -> Store.meta list -> unit
 
 (** Batched {!push_to}: one message per distinct destination for the whole
-    (region, consumers) list, single sender overhead. Fills when every
+    (region, consumers) list, single sender overhead; each message part is
+    delivered exactly as {!push_to}'s message is. Fills when every
     consumer copy and remote master is refreshed. *)
 val push_to_batch :
   ctx -> (Store.meta * int list) list -> unit Ace_engine.Ivar.t

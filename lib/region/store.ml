@@ -201,6 +201,15 @@ let is_mapped meta ~node =
 
 let copy_of meta ~node = cmap_find meta.copies node
 
+let data meta ~node =
+  match copy_of meta ~node with
+  | Some c -> c.cdata
+  | None ->
+      (* Mapped but never accessed: materialize the (zeroed, Invalid) cache
+         entry mapping used to create eagerly. Host-side only — no cost. *)
+      if is_mapped meta ~node then (ensure_copy_c meta ~node).cdata
+      else invalid_arg "data: region not mapped on this node"
+
 let check_range meta ~what pos len =
   if pos < 0 || len < 0 || pos + len > meta.len then
     invalid_arg

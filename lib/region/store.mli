@@ -98,6 +98,11 @@ val ensure_copy_c : meta -> node:int -> copy
 (** Cache entry if present. *)
 val copy_of : meta -> node:int -> copy option
 
+(** [node]'s view of the region payload: its cache entry's data, created
+    (zeroed, [Invalid]) for a region mapped on [node] but never accessed.
+    Raises [Invalid_argument] if the region is not mapped on [node]. *)
+val data : meta -> node:int -> float array
+
 (** {2 Bulk payload movement}
 
     All region data crossing the simulated wire moves through these blits

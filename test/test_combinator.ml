@@ -334,7 +334,10 @@ let change_protocol_roundtrip_through_dsl () =
    rationals, so every sum is exact whatever order the locks grant in,
    and the checksum node 0 reads must equal the sequential program's
    exactly. *)
-let switch_through_state_machines ~batch () =
+(* [one_space] keeps A and B in one space, so one space's learning window
+   sees both halves of the relaxation: each array's regions are first
+   written with no consumers in that window, and their readers come later. *)
+let switch_through_state_machines ?(one_space = false) ~batch () =
   let p = 4 and k = 2 and steps = 3 in
   let a = Array.init p (fun o -> Array.init k (fun i -> float_of_int ((o * 10) + i))) in
   let b = Array.make_matrix p k 0. and acc = Array.make p 0. in
@@ -359,17 +362,28 @@ let switch_through_state_machines ~batch () =
   let reference = sum a +. sum b +. Array.fold_left ( +. ) 0. acc in
   let rt = Runtime.create ~nprocs:p () in
   Ace_protocols.Proto_lib.register_all rt;
+  (* arrays A, B and the accumulators: their spaces, and the allocation
+     sequence number of each array's first region in its space *)
   let sa = 0 and sb = 1 and sacc = 2 in
-  List.iter (fun _ -> ignore (Runtime.new_space rt "SC")) [ sa; sb; sacc ];
+  let space = if one_space then [| 0; 0; 1 |] else [| 0; 1; 2 |] in
+  let base = [| 0; (if one_space then k else 0); 0 |] in
+  for _ = 0 to space.(sacc) do
+    ignore (Runtime.new_space rt "SC")
+  done;
   Ace_net.Am.set_batching (Runtime.am rt) batch;
   let captured = ref nan in
   Runtime.run rt (fun ctx ->
       let me = Ops.me ctx in
-      let own space n = Array.init n (fun _ -> Ops.alloc ctx ~space ~len:1) in
-      let mine = [| own sa k; own sb k; own sacc 1 |] in
-      let region space o i =
-        if o = me then mine.(space).(i)
-        else Ops.map ctx (Ops.global_id ctx ~space ~owner:o ~seq:i)
+      let own x n = Array.init n (fun _ -> Ops.alloc ctx ~space:space.(x) ~len:1) in
+      (* allocated in this order: [base] counts on it *)
+      let ma = own sa k in
+      let mb = own sb k in
+      let mine = [| ma; mb; own sacc 1 |] in
+      let region x o i =
+        if o = me then mine.(x).(i)
+        else
+          Ops.map ctx
+            (Ops.global_id ctx ~space:space.(x) ~owner:o ~seq:(base.(x) + i))
       in
       let read h =
         Ops.start_read ctx h;
@@ -382,23 +396,27 @@ let switch_through_state_machines ~batch () =
         (Ops.data ctx h).(0) <- v;
         Ops.end_write ctx h
       in
-      let switch name = List.iter (fun space -> Ops.change_protocol ctx ~space name) in
+      let switch name xs =
+        List.iter
+          (fun space -> Ops.change_protocol ctx ~space name)
+          (List.sort_uniq compare (List.map (fun x -> space.(x)) xs))
+      in
       for i = 0 to k - 1 do
         write mine.(sa).(i) (float_of_int ((me * 10) + i))
       done;
-      Ops.barrier ctx ~space:sa;
+      Ops.barrier ctx ~space:space.(sa);
       switch "STATIC_UPDATE" [ sa; sb ];
       for _ = 1 to steps do
         for i = 0 to k - 1 do
           write mine.(sb).(i)
             (read mine.(sa).(i) +. (0.5 *. read (region sa ((me + 1) mod p) i)))
         done;
-        Ops.barrier ctx ~space:sb;
+        Ops.barrier ctx ~space:space.(sb);
         for i = 0 to k - 1 do
           write mine.(sa).(i)
             (read mine.(sb).(i) +. (0.25 *. read (region sb ((me + p - 1) mod p) i)))
         done;
-        Ops.barrier ctx ~space:sa
+        Ops.barrier ctx ~space:space.(sa)
       done;
       switch "SC" [ sa; sb ];
       let contribution = read mine.(sa).(0) in
@@ -410,7 +428,7 @@ let switch_through_state_machines ~batch () =
         write h (v +. contribution);
         Ops.unlock ctx h
       done;
-      Ops.barrier ctx ~space:sacc;
+      Ops.barrier ctx ~space:space.(sacc);
       switch "SC" [ sacc ];
       if me = 0 then begin
         let total = ref 0. in
@@ -423,6 +441,44 @@ let switch_through_state_machines ~batch () =
         captured := !total
       end);
   Alcotest.(check (float 0.)) "checksum = sequential reference" reference !captured
+
+(* A STATIC_UPDATE consumer that starts reading after the learning window
+   has closed: R is homed at node 0 and written every iteration by
+   [writer]; node 2 reads it only from iteration 3 on, so no learned list
+   names it. Its read miss makes it a sharer at the home, and every later
+   push must reach it there (the home forwards to sharers the writer's
+   list missed, and a home writer pushes to its current sharers). *)
+let late_consumer ~writer ~batch () =
+  let iters = 7 and first_read = 3 in
+  let rt = Runtime.create ~nprocs:3 () in
+  Ace_protocols.Proto_lib.register_all rt;
+  let space = (Runtime.new_space rt "STATIC_UPDATE").Protocol.sid in
+  Ace_net.Am.set_batching (Runtime.am rt) batch;
+  let seen = ref [] in
+  Runtime.run rt (fun ctx ->
+      let me = Ops.me ctx in
+      if me = 0 then ignore (Ops.alloc ctx ~space ~len:1);
+      Ops.barrier ctx ~space;
+      let r = Ops.map ctx (Ops.global_id ctx ~space ~owner:0 ~seq:0) in
+      for t = 0 to iters - 1 do
+        if me = writer then begin
+          Ops.start_write ctx r;
+          (Ops.data ctx r).(0) <- float_of_int t;
+          Ops.end_write ctx r
+        end;
+        Ops.barrier ctx ~space;
+        if me = 2 && t >= first_read then begin
+          Ops.start_read ctx r;
+          seen := (t, (Ops.data ctx r).(0)) :: !seen;
+          Ops.end_read ctx r
+        end;
+        Ops.barrier ctx ~space
+      done);
+  Alcotest.(check (list (pair int (float 0.))))
+    "every read sees its iteration's value"
+    (List.init (iters - first_read) (fun i ->
+         (first_read + i, float_of_int (first_read + i))))
+    (List.rev !seen)
 
 let () =
   Alcotest.run "ace_combinator"
@@ -473,5 +529,19 @@ let () =
           Alcotest.test_case "switch through STATIC_UPDATE and PIPELINE, batched"
             `Quick
             (switch_through_state_machines ~batch:true);
+          Alcotest.test_case "switch through STATIC_UPDATE and PIPELINE, one space"
+            `Quick
+            (switch_through_state_machines ~one_space:true ~batch:false);
+          Alcotest.test_case
+            "switch through STATIC_UPDATE and PIPELINE, one space, batched" `Quick
+            (switch_through_state_machines ~one_space:true ~batch:true);
+          Alcotest.test_case "late consumer, home writer" `Quick
+            (late_consumer ~writer:0 ~batch:false);
+          Alcotest.test_case "late consumer, remote writer" `Quick
+            (late_consumer ~writer:1 ~batch:false);
+          Alcotest.test_case "late consumer, home writer, batched" `Quick
+            (late_consumer ~writer:0 ~batch:true);
+          Alcotest.test_case "late consumer, remote writer, batched" `Quick
+            (late_consumer ~writer:1 ~batch:true);
         ] );
     ]

@@ -1,4 +1,5 @@
-(* Unit and property tests for the discrete-event engine. *)
+(* Unit and property tests for the discrete-event engine, plus allocation
+   guards for the coherence miss legs built on it. *)
 
 module Eq = Ace_engine.Event_queue
 module Ivar = Ace_engine.Ivar
@@ -369,6 +370,79 @@ let machine_await_pending_allocation () =
     (Printf.sprintf "%.2f minor words per advance+fill+await round <= 40" per)
     true (per <= 40.)
 
+(* ---- coherence-leg allocation ----
+
+   The miss legs of [Ace_region.Blocks], each repeated by one processor on
+   a 4-word region homed at node 0 while the others stay idle. Between
+   iterations the test puts the directory and the copies back host-side
+   (no messages), so every iteration is the same miss. Each bound is the
+   minor words one iteration allocated when the guard was written (counts
+   are deterministic per build), so a leg that grows a closure per miss
+   fails it. *)
+
+module Store = Ace_region.Store
+module Dir = Ace_region.Dir
+module Blocks = Ace_region.Blocks
+
+let leg_words ~nprocs ~by body =
+  let n = 20_000 and warm = 100 in
+  let m = Machine.create ~nprocs () in
+  let am = Ace_net.Am.create m Ace_net.Cost_model.cm5_ace in
+  let net = Ace_net.Reliable.create am in
+  let store = Store.create ~nprocs () in
+  let meta = Store.alloc store ~home:0 ~len:4 ~space:0 in
+  let per = ref infinity in
+  Machine.run m (fun p ->
+      if p.Machine.id = by then begin
+        let ctx = Blocks.make_ctx net store p in
+        for _ = 1 to warm do
+          body ctx meta p
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          body ctx meta p
+        done;
+        per := (Gc.minor_words () -. w0) /. float_of_int n
+      end);
+  !per
+
+let check_words name ~bound per =
+  check (Printf.sprintf "%.2f minor words per %s <= %.0f" per name bound) true
+    (per <= bound)
+
+(* Node 1 reads an Invalid copy: request, data grant, pin and unpin. *)
+let read_miss_allocation () =
+  leg_words ~nprocs:2 ~by:1 (fun ctx meta _ ->
+      Blocks.fetch_shared ctx meta;
+      Blocks.begin_access ctx meta ~write:false;
+      Blocks.end_access ctx meta ~write:false;
+      (Option.get (Store.copy_of meta ~node:1)).Store.cstate <- Store.Invalid;
+      Dir.remove meta.Store.dir.Store.sharers 1)
+  |> check_words "read miss" ~bound:148.
+
+(* Node 1 writes an Invalid copy while node 2 shares the region: request,
+   one invalidation and its ack, data grant. *)
+let write_miss_allocation () =
+  leg_words ~nprocs:3 ~by:1 (fun ctx meta _ ->
+      let d = meta.Store.dir in
+      let c2 = Store.ensure_copy_c meta ~node:2 in
+      c2.Store.cstate <- Store.Shared;
+      Dir.add d.Store.sharers 2;
+      Blocks.fetch_exclusive ctx meta;
+      Blocks.begin_access ctx meta ~write:true;
+      Blocks.end_access ctx meta ~write:true;
+      d.Store.owner <- -1;
+      (Option.get (Store.copy_of meta ~node:1)).Store.cstate <- Store.Invalid;
+      Dir.remove d.Store.sharers 1)
+  |> check_words "write miss" ~bound:277.
+
+(* The home pushes its value to its one consumer, node 1, and waits for
+   it to land (STATIC_UPDATE without batching). *)
+let static_push_allocation () =
+  leg_words ~nprocs:2 ~by:0 (fun ctx meta p ->
+      Machine.await p (Blocks.push_to ctx meta ~dsts:[ 1 ]))
+  |> check_words "static push" ~bound:130.
+
 (* A run with a DAG recorder attached: compute intervals on both chains,
    an ivar filled ahead of its await but with a later fill time, one
    awaited before it is filled, a barrier, and a second phase. The
@@ -707,6 +781,11 @@ let () =
             machine_await_filled_allocation;
           Alcotest.test_case "await allocation (pending)" `Quick
             machine_await_pending_allocation;
+          Alcotest.test_case "read miss allocation" `Quick read_miss_allocation;
+          Alcotest.test_case "write miss allocation" `Quick
+            write_miss_allocation;
+          Alcotest.test_case "static push allocation" `Quick
+            static_push_allocation;
           Alcotest.test_case "crit DAG pinned" `Quick machine_crit_dag_pinned;
           Alcotest.test_case "barrier sync" `Quick machine_barrier_sync;
           Alcotest.test_case "barrier reuse" `Quick machine_barrier_reusable;
