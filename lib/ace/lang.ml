@@ -13,7 +13,10 @@
      derivation sees exactly which synchronization points are null;
    - a non-empty list compiles once into straight closures: hooks of up to
      three actions call their steps directly, longer ones chain, and each
-     [Charge] reads its cost-model field without a dispatch-time match;
+     [Charge] reads its cost-model field without a dispatch-time match and
+     defers its cycles ([Machine.defer]); every other action but a counter
+     and an assertion settles them first, so a hook's leading charges and
+     the dispatch in front of it park once;
    - the registration data of Fig. 1 is derived from the action lists, so
      the Table-4 passes can never skip a live hook nor reorder a call that
      must stay in place:
@@ -198,11 +201,16 @@ let pipe_state (ctx : Protocol.ctx) (sp : Protocol.space) =
       sp.Protocol.pstate.(node) <- Pipe s;
       s
 
+(* [l] without [x], for an ascending [l]: only the cells before [x] are
+   copied. *)
+let rec without x = function
+  | [] -> []
+  | y :: ys as l -> if y = x then ys else if y > x then l else y :: without x ys
+
 (* The nodes other than the home and this one that hold a copy: who a
    pushed update must reach. *)
 let consumers (ctx : Protocol.ctx) (meta : Store.meta) =
-  List.filter
-    (fun n -> n <> meta.Store.home)
+  without meta.Store.home
     (Store.sharers meta ~except:ctx.Protocol.proc.Machine.id)
 
 (* Publish everything queued since the last sync point. In bulk-transfer
@@ -353,22 +361,25 @@ let drain_writes (ctx : Protocol.ctx) (sp : Protocol.space) =
 (* Which argument a hook takes; [Publish] needs it to find the space. *)
 type _ site = Region : Store.meta site | Space : Protocol.space site
 
+(* A [Charge] is deferred: the run of charges a hook starts with parks
+   once, at the next action that settles (or at [Ops]' settle after the
+   dispatch). *)
 let charge_fn : type a. charge -> Protocol.ctx -> a -> unit = function
   | Start_hit ->
       fun ctx _ ->
-        Machine.advance ctx.Protocol.proc
+        Machine.defer ctx.Protocol.proc
           ctx.Protocol.rt.Protocol.cost.Cost_model.start_hit
   | End_op ->
       fun ctx _ ->
-        Machine.advance ctx.Protocol.proc
+        Machine.defer ctx.Protocol.proc
           ctx.Protocol.rt.Protocol.cost.Cost_model.end_op
   | Lock_base ->
       fun ctx _ ->
-        Machine.advance ctx.Protocol.proc
+        Machine.defer ctx.Protocol.proc
           ctx.Protocol.rt.Protocol.cost.Cost_model.lock_base
   | Null_hook ->
       fun ctx _ ->
-        Machine.advance ctx.Protocol.proc
+        Machine.defer ctx.Protocol.proc
           ctx.Protocol.rt.Protocol.cost.Cost_model.null_hook
 
 let nop _ _ = ()
@@ -453,8 +464,20 @@ let rec action_fn : type a. a site -> a action -> Protocol.ctx -> a -> unit =
         Blocks.fetch_shared_batch ctx.Protocol.bctx
           (List.map (Store.get ctx.Protocol.rt.Protocol.store) sp.Protocol.rids)
 
+(* Every action but a charge, a counter and an assertion reads or moves
+   shared state, so it settles the hook's deferred charges first. *)
+and step : type a. a site -> a action -> Protocol.ctx -> a -> unit =
+ fun site act ->
+  let f = action_fn site act in
+  match act with
+  | Charge _ | Count _ | Assert_home -> f
+  | _ ->
+      fun ctx x ->
+        Machine.settle ctx.Protocol.proc;
+        f ctx x
+
 and seq : type a. a site -> a action list -> Protocol.ctx -> a -> unit =
- fun site acts -> chain (List.map (action_fn site) acts)
+ fun site acts -> chain (List.map (step site) acts)
 
 (* A hook: the empty list is THE null hook (physical equality matters —
    the registry compares with [!=]); inside a guard an empty branch does

@@ -32,11 +32,19 @@ let rid (h : h) = h.Store.rid
 
 let charge ctx c = Machine.advance ctx.Protocol.proc c
 
+(* Replay the charges the interpreter deferred before this call (see
+   [Machine.defer]): the entry points below read or write state other
+   processors see, so they run at the clock an eager charge would have
+   reached. A no-op for application code, which never runs with a charge
+   pending. *)
+let settle (ctx : ctx) = Machine.settle ctx.Protocol.proc
+
 let space_of (ctx : ctx) (h : h) =
   Runtime.space ctx.Protocol.rt h.Store.space
 
 (* Ace_GMalloc: allocate a region homed at the caller from [space]. *)
 let alloc (ctx : ctx) ~space ~len =
+  settle ctx;
   let sp = Runtime.space ctx.Protocol.rt space in
   let meta =
     Store.alloc ctx.Protocol.rt.Protocol.store ~home:(me ctx) ~len
@@ -51,6 +59,7 @@ let alloc (ctx : ctx) ~space ~len =
 (* ACE_MAP: translate a region id into a local handle. Ace's mapping is the
    cheap cached lookup the paper credits for its edge over CRL. *)
 let map (ctx : ctx) r =
+  settle ctx;
   let meta = Store.get ctx.Protocol.rt.Protocol.store r in
   let existed = Store.map_note meta ~node:(me ctx) in
   let c = cost ctx in
@@ -59,46 +68,63 @@ let map (ctx : ctx) r =
 
 let unmap (ctx : ctx) (_ : h) = charge ctx (cost ctx).Cost_model.unmap
 
-let data (ctx : ctx) (h : h) = Store.data h ~node:(me ctx)
+let data (ctx : ctx) (h : h) =
+  settle ctx;
+  Store.data h ~node:(me ctx)
 
 (* The dispatcher charges only the space-indirection cost; each protocol
    handler charges its own processing (so a null handler really is nearly
    free, and direct-dispatched compiled code can drop even the
-   indirection). Each dispatch bumps the per-space call counter. *)
+   indirection). Each dispatch bumps the per-space call counter. The
+   dispatch charge and the handler's leading charges are deferred
+   ([Machine.call], [Lang]'s [Charge]): a hit's dispatch and handler park
+   once, at the settle after the dispatch, before [Blocks] runs or the
+   call returns. [hook] is one of the static selectors below, so a
+   dispatch builds no closure. *)
 let dispatch_access ctx h op hook =
-  let rt = ctx.Protocol.rt in
   Machine.call ctx.Protocol.proc op ~space:h.Store.space ~rid:h.Store.rid
-    ~charge:(cost ctx).Cost_model.dispatch (fun () ->
-      Stats.incr_dim (Machine.stats rt.Protocol.machine) fam_dispatch_space
-        h.Store.space;
-      hook (space_of ctx h).Protocol.proto ctx h)
+    ~charge:(cost ctx).Cost_model.dispatch hook ctx h;
+  settle ctx
+
+let proto_of (ctx : ctx) (h : h) =
+  Stats.incr_dim
+    (Machine.stats ctx.Protocol.rt.Protocol.machine)
+    fam_dispatch_space h.Store.space;
+  (space_of ctx h).Protocol.proto
+
+let start_read_hook ctx h = (proto_of ctx h).Protocol.start_read ctx h
+let end_read_hook ctx h = (proto_of ctx h).Protocol.end_read ctx h
+let start_write_hook ctx h = (proto_of ctx h).Protocol.start_write ctx h
+let end_write_hook ctx h = (proto_of ctx h).Protocol.end_write ctx h
+let lock_hook ctx h = (proto_of ctx h).Protocol.lock ctx h
+let unlock_hook ctx h = (proto_of ctx h).Protocol.unlock ctx h
 
 let start_read (ctx : ctx) h =
-  dispatch_access ctx h op_start_read (fun p -> p.Protocol.start_read);
+  dispatch_access ctx h op_start_read start_read_hook;
   Blocks.begin_access ctx.Protocol.bctx h ~write:false
 
 let end_read (ctx : ctx) h =
-  dispatch_access ctx h op_end_read (fun p -> p.Protocol.end_read);
+  dispatch_access ctx h op_end_read end_read_hook;
   Blocks.end_access ctx.Protocol.bctx h ~write:false
 
 let start_write (ctx : ctx) h =
-  dispatch_access ctx h op_start_write (fun p -> p.Protocol.start_write);
+  dispatch_access ctx h op_start_write start_write_hook;
   Blocks.begin_access ctx.Protocol.bctx h ~write:true
 
 let end_write (ctx : ctx) h =
-  dispatch_access ctx h op_end_write (fun p -> p.Protocol.end_write);
+  dispatch_access ctx h op_end_write end_write_hook;
   Blocks.end_access ctx.Protocol.bctx h ~write:true
 
 (* Lock spans come in two kinds: the [lock]/[unlock] protocol-call spans
    (cat "call", like any other dispatch) and a [lock.hold] span (cat
    "lock") stretching from lock acquisition to the matching unlock. *)
 let lock (ctx : ctx) h =
-  dispatch_access ctx h op_lock (fun p -> p.Protocol.lock);
+  dispatch_access ctx h op_lock lock_hook;
   Machine.lock_acquired ctx.Protocol.proc ~rid:h.Store.rid
 
 let unlock (ctx : ctx) h =
   Machine.lock_released ctx.Protocol.proc ~rid:h.Store.rid;
-  dispatch_access ctx h op_unlock (fun p -> p.Protocol.unlock)
+  dispatch_access ctx h op_unlock unlock_hook
 
 let base_barrier (ctx : ctx) =
   Machine.Barrier.wait ctx.Protocol.rt.Protocol.base_barrier ctx.Protocol.proc
@@ -107,11 +133,13 @@ let base_barrier (ctx : ctx) =
    update protocol propagates its writes), then the processors synchronize.
    The protocol's pre-barrier work is traced as a "call" span; the global
    synchronization itself is traced (per generation) by Machine.Barrier. *)
+let barrier_hook ctx (sp : Protocol.space) =
+  sp.Protocol.proto.Protocol.barrier ctx sp
+
 let barrier (ctx : ctx) ~space =
   let sp = Runtime.space ctx.Protocol.rt space in
   Machine.call ctx.Protocol.proc op_barrier_hook ~space ~rid:(-1)
-    ~charge:(cost ctx).Cost_model.dispatch (fun () ->
-      sp.Protocol.proto.Protocol.barrier ctx sp);
+    ~charge:(cost ctx).Cost_model.dispatch barrier_hook ctx sp;
   base_barrier ctx
 
 (* Ace_ChangeProtocol: collective. The old protocol defines the transition
@@ -119,6 +147,7 @@ let barrier (ctx : ctx) ~space =
    protocol); barriers separate detach, the swap, and attach so no node can
    race ahead with the new protocol while another still runs the old one. *)
 let change_protocol (ctx : ctx) ~space name =
+  settle ctx;
   let rt = ctx.Protocol.rt in
   let sp = Runtime.space rt space in
   let newp = Runtime.find_protocol rt name in
@@ -165,6 +194,7 @@ let change_protocol (ctx : ctx) ~space name =
    same advice and the collective [change_protocol] below cannot disagree.
    Without an installed engine this is free and returns [None]. *)
 let adapt (ctx : ctx) ~space =
+  settle ctx;
   match Adapt.installed ctx.Protocol.rt with
   | None -> None
   | Some t ->
@@ -181,6 +211,7 @@ let adapt (ctx : ctx) ~space =
 (* Collective Ace_NewSpace for SPMD program text (Fig. 2 lines 2-3): the
    k-th collective call on every node denotes the same space. *)
 let new_space (ctx : ctx) proto_name =
+  settle ctx;
   let k = ctx.Protocol.space_ctr in
   ctx.Protocol.space_ctr <- k + 1;
   let rt = ctx.Protocol.rt in
@@ -203,14 +234,17 @@ let new_space (ctx : ctx) proto_name =
 let work (ctx : ctx) cycles = charge ctx cycles
 
 let global_id (ctx : ctx) ~space ~owner ~seq =
+  settle ctx;
   Ace_region.Collective.global_id ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
     ~space ~owner ~seq
 
 let bcast (ctx : ctx) ~root f =
+  settle ctx;
   Ace_region.Collective.bcast ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
     ~ctr:ctx.Protocol.coll_ctr ~root f
 
 let allgather (ctx : ctx) mine =
+  settle ctx;
   Ace_region.Collective.allgather ctx.Protocol.rt.Protocol.coll ctx.Protocol.bctx
     ~ctr:ctx.Protocol.coll_ctr mine
 

@@ -22,6 +22,7 @@ module Ops = Ace_runtime.Ops
 module Protocol = Ace_runtime.Protocol
 module Store = Ace_region.Store
 module Blocks = Ace_region.Blocks
+module Machine = Ace_engine.Machine
 
 exception Runtime_error of string
 
@@ -47,7 +48,12 @@ let op_cycles = 0.5
 let call_overhead = 12.
 let access_cycles = 1.
 
-let charge fr c = Ops.work fr.ctx c
+(* Every instruction charge is deferred ([Machine.defer]): a run of
+   charges parks once, at the next runtime call that settles (every [Ops]
+   entry point the interpreter calls, and the direct calls below), with
+   the same events at the same times as charging each at once. *)
+let charge fr c = Machine.defer fr.ctx.Protocol.proc c
+let settle fr = Machine.settle fr.ctx.Protocol.proc
 let fail msg = raise (Runtime_error msg)
 
 (* ---- variables ---- *)
@@ -184,6 +190,7 @@ let direct_start ~write ~removed fr meta =
   if not removed then
     (if write then proto.Protocol.start_write else proto.Protocol.start_read)
       fr.ctx meta;
+  settle fr;
   Blocks.begin_access fr.ctx.Protocol.bctx meta ~write
 
 let direct_end ~write ~removed fr meta =
@@ -191,6 +198,7 @@ let direct_end ~write ~removed fr meta =
   if not removed then
     (if write then proto.Protocol.end_write else proto.Protocol.end_read)
       fr.ctx meta;
+  settle fr;
   Blocks.end_access fr.ctx.Protocol.bctx meta ~write
 
 (* A protocol call on handle [t]: dynamic (dispatched), direct, or removed.
@@ -313,8 +321,11 @@ let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
       fun fr ->
         charge fr access_cycles;
         let meta = mapped fr t ti in
-        let data = Ops.data fr.ctx meta in
         let idx = int_of_float (i fr) in
+        (* [Ops.data] settles, so the index's charges too land before the
+           load, as they would eagerly: the copy may change at any event
+           in between *)
+        let data = Ops.data fr.ctx meta in
         if idx < 0 || idx >= Array.length data then
           fail "shared index out of bounds";
         set fr xi (VNum (Array.unsafe_get data idx))
@@ -323,9 +334,9 @@ let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
       fun fr ->
         charge fr access_cycles;
         let meta = mapped fr t ti in
-        let data = Ops.data fr.ctx meta in
         let idx = int_of_float (i fr) in
         let v = e fr in
+        let data = Ops.data fr.ctx meta in
         if idx < 0 || idx >= Array.length data then
           fail "shared index out of bounds";
         Array.unsafe_set data idx v
@@ -380,7 +391,7 @@ let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
       fun fr -> Ops.change_protocol fr.ctx ~space:(space_sid fr s si) proto
   | Ir.IWork e ->
       let e = cexpr e in
-      fun fr -> Ops.work fr.ctx (e fr)
+      fun fr -> charge fr (e fr)
   | Ir.ICallStmt (dst, f, args) -> (
       let args = Array.of_list (List.map cexpr args) in
       let callee = ref None in

@@ -97,44 +97,53 @@ let op_unlock = Machine.op "unlock"
 (* Wrap a coherence call with the per-node call counter and the same
    protocol-call probe as Ace's dispatch: a trace span and, in the causal
    DAG, blame on the op (CRL regions have no space, so spans carry only
-   the region id). *)
+   the region id). [f] is one of the static bodies below, so a call
+   builds no closure. *)
 let coh_call ctx op (h : h) f =
   Stats.incr_dim (Machine.stats ctx.sys.machine) fam_calls_node (me ctx);
-  Machine.call ctx.proc op ~space:(-1) ~rid:h.Store.rid ~charge:0. f
+  Machine.call ctx.proc op ~space:(-1) ~rid:h.Store.rid ~charge:0. f ctx h
+
+let start_read_body ctx h =
+  charge ctx ctx.sys.cost.Cost_model.start_hit;
+  Blocks.fetch_shared ctx.bctx h
+
+let end_body ctx _ = charge ctx ctx.sys.cost.Cost_model.end_op
+
+let start_write_body ctx h =
+  charge ctx ctx.sys.cost.Cost_model.start_hit;
+  Blocks.fetch_exclusive ctx.bctx h
+
+let lock_body ctx h =
+  charge ctx ctx.sys.cost.Cost_model.lock_base;
+  Blocks.home_lock ctx.bctx h
+
+let unlock_body ctx h =
+  charge ctx ctx.sys.cost.Cost_model.lock_base;
+  Blocks.home_unlock ctx.bctx h
 
 let start_read ctx h =
-  coh_call ctx op_start_read h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.start_hit;
-      Blocks.fetch_shared ctx.bctx h);
+  coh_call ctx op_start_read h start_read_body;
   Blocks.begin_access ctx.bctx h ~write:false
 
 let end_read ctx h =
-  coh_call ctx op_end_read h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.end_op);
+  coh_call ctx op_end_read h end_body;
   Blocks.end_access ctx.bctx h ~write:false
 
 let start_write ctx h =
-  coh_call ctx op_start_write h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.start_hit;
-      Blocks.fetch_exclusive ctx.bctx h);
+  coh_call ctx op_start_write h start_write_body;
   Blocks.begin_access ctx.bctx h ~write:true
 
 let end_write ctx h =
-  coh_call ctx op_end_write h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.end_op);
+  coh_call ctx op_end_write h end_body;
   Blocks.end_access ctx.bctx h ~write:true
 
 let lock ctx h =
-  coh_call ctx op_lock h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.lock_base;
-      Blocks.home_lock ctx.bctx h);
+  coh_call ctx op_lock h lock_body;
   Machine.lock_acquired ctx.proc ~rid:h.Store.rid
 
 let unlock ctx h =
   Machine.lock_released ctx.proc ~rid:h.Store.rid;
-  coh_call ctx op_unlock h (fun () ->
-      charge ctx ctx.sys.cost.Cost_model.lock_base;
-      Blocks.home_unlock ctx.bctx h)
+  coh_call ctx op_unlock h unlock_body
 
 let barrier ctx ~space:_ = Machine.Barrier.wait ctx.sys.base_barrier ctx.proc
 

@@ -22,18 +22,30 @@ and proc = { id : int; mutable clock : float; machine : t; fiber : fiber }
 (* A proc's fiber switch, built once with the proc. A fiber blocks in one
    way: it performs its [Park p] effect, whose handler only stores the
    captured continuation here. Whoever blocks has already arranged for
-   [resume] to be pushed: an advance pushes it itself, and an await leaves
-   a waiter on the ivar that pushes it at the fill. The effect value, the
-   handler's answer and the resume thunk are preallocated, so an advance
-   allocates nothing of its own and a pending await only its waiter. *)
+   [resume] to be pushed: a settle pushes it itself (directly, or through
+   [replay] for a run of deferred charges), and an await leaves [waiter]
+   on the ivar, which pushes it at the fill. The effect value, the
+   handler's answer, the resume and replay thunks and the waiter are
+   preallocated, so an advance allocates nothing of its own and a pending
+   await only its place in the ivar's waiter list. *)
 and fiber = {
   park : unit Effect.t; (* [Park p] *)
   on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
   resume : unit -> unit;
+  replay : unit -> unit; (* one step of a settled run of charges *)
+  waiter : waiter;
   mutable parked : (unit, unit) Effect.Deep.continuation;
       (* [unparked] until the first park *)
   mutable cause : int; (* DAG node to resume in, when a recorder is on *)
+  mutable charges : Float.Array.t;
+      (* deferred charges, oldest first; empty until the first [defer] *)
+  mutable deferred : int; (* charges recorded and not yet settled *)
+  mutable replayed : int; (* next charge [replay] takes *)
+  mutable replay_end : int; (* charges in the run being replayed *)
 }
+
+(* The fiber's ivar waiter, polymorphic in the ivar's value. *)
+and waiter = { w : 'a. time:float -> 'a -> unit }
 
 type _ Effect.t += Park : proc -> unit Effect.t
 
@@ -89,23 +101,91 @@ let schedule t ~time f =
   | None -> Event_queue.push t.events ~time f
   | Some c -> schedule_cause t c ~time ~cause:(Crit.export_cur c) f
 
+(* {2 Charges}
+
+   A charge moves the proc's clock and costs one queue event, resumed at
+   the new clock: that event is where other events at earlier times run.
+   [defer] only records the charge; [settle] replays the recorded run in
+   order with one park. It pushes the first charge's event and parks; each
+   pop of a run's event but the last runs [replay], which takes the next
+   charge and pushes its event; the last pop resumes the fiber. The pops
+   run no fiber code, and between a [defer] and its [settle] the fiber runs
+   only code that pushes nothing and reads no clock (see machine.mli for
+   the whole contract), so every event gets the same time, the same
+   insertion number and the same clock additions as charging each
+   eagerly: only the fiber switches go. With a recorder attached a charge
+   is eager (its DAG interval and trace spans read the clock at once). A
+   full buffer settles before it takes the next charge. The buffer is
+   allocated at the processor's first charge (65 words), so one that never
+   charges allocates none. *)
+
+let max_deferred = 64
+
 (* The clock bump, the DAG's compute interval and the push of the resume
    event happen before the perform, leaving the handler only the park:
    nothing runs in between, so the order is the same as doing them in the
    handler. *)
-let advance p cycles =
-  if cycles < 0. || not (Float.is_finite cycles) then
-    invalid_arg "Machine.advance: bad cycle count";
-  if cycles > 0. then begin
-    p.clock <- p.clock +. cycles;
-    (match p.machine.crit with
-    | None -> ()
-    | Some c ->
-        Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
-        p.fiber.cause <- Crit.head c p.id);
-    Event_queue.push p.machine.events ~time:p.clock p.fiber.resume;
-    Effect.perform p.fiber.park
+let charge_now p cycles =
+  p.clock <- p.clock +. cycles;
+  (match p.machine.crit with
+  | None -> ()
+  | Some c ->
+      Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
+      p.fiber.cause <- Crit.head c p.id);
+  Event_queue.push p.machine.events ~time:p.clock p.fiber.resume;
+  Effect.perform p.fiber.park
+
+let settle p =
+  let f = p.fiber in
+  let n = f.deferred in
+  if n > 0 then begin
+    f.deferred <- 0;
+    p.clock <- p.clock +. Float.Array.unsafe_get f.charges 0;
+    let next =
+      if n = 1 then f.resume
+      else begin
+        f.replayed <- 1;
+        f.replay_end <- n;
+        f.replay
+      end
+    in
+    Event_queue.push p.machine.events ~time:p.clock next;
+    Effect.perform f.park
   end
+
+let replay p =
+  let f = p.fiber in
+  let i = f.replayed in
+  p.clock <- p.clock +. Float.Array.unsafe_get f.charges i;
+  f.replayed <- i + 1;
+  Event_queue.push p.machine.events ~time:p.clock
+    (if i + 1 = f.replay_end then f.resume else f.replay)
+
+let defer p cycles =
+  if cycles < 0. || not (Float.is_finite cycles) then
+    invalid_arg "Machine.defer: bad cycle count";
+  if cycles > 0. then begin
+    let t = p.machine in
+    let f = p.fiber in
+    if t.crit != None || t.trace != None then begin
+      (* nothing is pending unless a recorder was attached mid-run *)
+      settle p;
+      charge_now p cycles
+    end
+    else begin
+      if f.deferred = max_deferred then settle p
+      else if Float.Array.length f.charges = 0 then
+        f.charges <- Float.Array.create max_deferred;
+      Float.Array.unsafe_set f.charges f.deferred cycles;
+      f.deferred <- f.deferred + 1
+    end
+  end
+
+let advance p cycles =
+  defer p cycles;
+  settle p
+
+let pending p = p.fiber.deferred > 0
 
 (* The waiter runs synchronously inside [Ivar.fill], i.e. in the filler's
    causal context: exactly the fill->wakeup edge. *)
@@ -121,11 +201,13 @@ let wake p ~time =
    queue event. If the fill is in this fiber's future, the resume time is
    bound by the filler: record that cross-chain edge (the fill
    snapshotted its causal context into the ivar). On a pending ivar the
-   fiber leaves a [wake] waiter and parks; the value is read back from the
-   ivar once it resumes. The waiter is one small closure per await: a
-   waiter preallocated per proc saves 5 words, but shifts the minor-GC
-   cadence enough to grow the Table 4 workload's peak heap by about 11%. *)
+   fiber leaves its preallocated [wake] waiter and parks; the value is
+   read back from the ivar once it resumes. (A closure per await costs 5
+   words more and is promoted whenever the await outlives a minor
+   collection; with it the figures workload's peak heap reads 1.5%
+   higher.) *)
 let await p iv =
+  settle p;
   if Ivar.is_filled iv then begin
     let time = Ivar.fill_time iv in
     if time > p.clock then begin
@@ -137,7 +219,7 @@ let await p iv =
     end
   end
   else begin
-    Ivar.on_fill iv (fun ~time _ -> wake p ~time);
+    Ivar.on_fill iv p.fiber.waiter.w;
     Effect.perform p.fiber.park
   end;
   Ivar.value iv
@@ -158,8 +240,14 @@ let make_proc t ~id ~clock =
       park = Park p;
       on_park = Some (fun k -> p.fiber.parked <- k);
       resume = (fun () -> resume p);
+      replay = (fun () -> replay p);
+      waiter = { w = (fun ~time _ -> wake p ~time) };
       parked = unparked;
       cause = -1;
+      charges = Float.Array.create 0;
+      deferred = 0;
+      replayed = 0;
+      replay_end = 0;
     }
   in
   p
@@ -171,30 +259,31 @@ type op = { op_name : string; op_kind : int }
 
 let op name = { op_name = name; op_kind = Crit.kind name }
 
-(* The trace half of {!call}: a span over [f] when a tracer is attached. *)
-let span_call t p op ~space ~rid f =
+(* The trace half of {!call}: a span over [f a b] when a tracer is
+   attached. *)
+let span_call t p op ~space ~rid f a b =
   match t.trace with
-  | None -> f ()
+  | None -> f a b
   | Some tr ->
       let t0 = p.clock in
-      f ();
+      f a b;
       let args = if rid >= 0 then [ ("rid", rid) ] else [] in
       let args = if space >= 0 then ("space", space) :: args else args in
       Trace.span tr ~name:op.op_name ~cat:"call" ~tid:p.id ~ts:t0
         ~dur:(p.clock -. t0) ~args ()
 
-let call p op ~space ~rid ~charge f =
+let call p op ~space ~rid ~charge f a b =
   let t = p.machine in
   match t.crit with
   | None ->
-      advance p charge;
-      span_call t p op ~space ~rid f
+      defer p charge;
+      span_call t p op ~space ~rid f a b
   | Some c ->
       let old_k, old_s =
         Crit.swap_activity c ~proc:p.id ~kind:op.op_kind ~space
       in
       advance p charge;
-      span_call t p op ~space ~rid f;
+      span_call t p op ~space ~rid f a b;
       Crit.set_activity c ~proc:p.id ~kind:old_k ~space:old_s
 
 let lock_acquired p ~rid =
@@ -287,6 +376,7 @@ let run t program =
   let spawn p () =
     spawn_fiber t (fun () ->
         program p;
+        settle p;
         finished.(p.id) <- true)
   in
   (match t.crit with
@@ -371,6 +461,7 @@ module Barrier = struct
      generation, arrival to release: the per-proc span lengths within a
      generation expose barrier skew (who arrived early and waited). *)
   let wait b p =
+    settle p;
     let t = b.owner in
     let gen = b.gen in
     let gen_no = b.gen_no in

@@ -3,15 +3,17 @@
 
     Each simulated processor runs an OCaml function as a cooperative fiber
     (OCaml 5 effects). A fiber advances its private virtual clock with
-    {!advance} and blocks on {!await}; the run loop always executes the
-    earliest-timestamped pending work, so execution is sequentially
-    deterministic.
+    {!advance} (or {!defer} and {!settle}) and blocks on {!await}; the run
+    loop always executes the earliest-timestamped pending work, so
+    execution is sequentially deterministic.
 
     A fiber yields through one preallocated per-processor park effect,
-    whose handler only stores the captured continuation: {!advance} queues
+    whose handler only stores the captured continuation: {!settle} queues
     the fiber's resumption before it parks, and {!await} on a pending ivar
     leaves a waiter that queues it at the fill. {!await} on a filled ivar
-    never yields. *)
+    never yields. Every charge of cycles costs one queue event; a run of
+    charges recorded with {!defer} costs one park for the whole run, not
+    one per charge, with the same events at the same times. *)
 
 type t
 
@@ -62,8 +64,36 @@ val schedule : t -> time:float -> (unit -> unit) -> unit
 
 (** {2 Fiber operations} — may only be called from inside a running fiber. *)
 
-(** Advance the calling processor's clock by [cycles] (>= 0). *)
+(** Advance the calling processor's clock by [cycles] (>= 0): [defer p
+    cycles; settle p]. *)
 val advance : proc -> float -> unit
+
+(** [defer p cycles] records a charge of [cycles] (>= 0) without parking.
+    The charge still costs its own queue event at its own time: {!settle}
+    replays the recorded charges in order, one event each, with the same
+    times, insertion order and clock additions as advancing each in turn.
+
+    The contract: between a [defer] and the [settle] that follows it the
+    fiber runs only pure code. It pushes no event, fills no ivar, sends
+    nothing, reads no clock (its own lags by the pending charges) and
+    touches no coherence state. What it may do is local work, bumping a
+    statistics counter, and reading state that changes only inside a
+    collective (a space's current protocol, swapped between the barriers
+    of [change_protocol]). The runtime and interpreter code that defers
+    settles before it calls anything else ([Blocks] rejects a processor
+    with {!pending} charges), and application code never runs with a
+    charge pending. With a tracer or a DAG recorder attached, [defer] is
+    {!advance}, so instrumented runs record exactly the intervals they
+    always did. *)
+val defer : proc -> float -> unit
+
+(** Replay the calling processor's deferred charges, parking once; a no-op
+    when none are pending. {!advance}, {!await}, [Barrier.wait] and the
+    fiber's exit settle first. *)
+val settle : proc -> unit
+
+(** Whether [p] has deferred charges not yet settled: one field read. *)
+val pending : proc -> bool
 
 (** {2 Instrumentation probes}
 
@@ -78,13 +108,16 @@ type op
 
 val op : string -> op
 
-(** [call p op ~space ~rid ~charge f] runs one protocol call on [p]: it
-    advances [charge] cycles (the dispatch indirection), then runs [f].
-    The DAG blames the whole call, charge included, on [op] and [space];
-    the trace's ["call"] span covers [f] only and carries a [space] arg
-    when [space >= 0] and a [rid] arg when [rid >= 0]. *)
+(** [call p op ~space ~rid ~charge f a b] runs one protocol call on [p]:
+    it defers [charge] cycles (the dispatch indirection), then runs [f a
+    b]. Passing [f]'s two arguments instead of a thunk lets a caller name
+    a static function and build no closure per call. The DAG blames the
+    whole call, charge included, on [op] and [space]; the trace's
+    ["call"] span covers [f a b] only and carries a [space] arg when
+    [space >= 0] and a [rid] arg when [rid >= 0]. *)
 val call :
-  proc -> op -> space:int -> rid:int -> charge:float -> (unit -> unit) -> unit
+  proc -> op -> space:int -> rid:int -> charge:float -> ('a -> 'b -> unit) ->
+  'a -> 'b -> unit
 
 (** Lock [rid] acquired / released by [p] at its clock: the release emits
     the hold as a ["lock.hold"] span. *)

@@ -91,12 +91,22 @@ let dir_exit (meta : Store.meta) ~time =
   | Some k -> k time
   | None -> d.Store.busy <- false
 
+(* Every fiber-side entry point below runs at the caller's true clock and
+   may push events, so it rejects a processor whose charges are still
+   deferred ([Machine.defer]): its caller must settle first. One field
+   read. *)
+let[@inline never] reject_pending name =
+  invalid_arg (name ^ ": called with deferred charges pending")
+
+let settled ctx name = if Machine.pending ctx.proc then reject_pending name
+
 (* CRL-style access atomicity: between start_* and the matching end_*, a
    copy's data must stay stable and valid, so coherence actions that arrive
    mid-access are parked on the copy and run when the access ends (at no
    earlier virtual time than they arrived). *)
 
 let begin_access ctx meta ~write =
+  settled ctx "Blocks.begin_access";
   let c = local_copy ctx meta in
   if write then c.Store.writers <- c.Store.writers + 1
   else c.Store.readers <- c.Store.readers + 1
@@ -110,6 +120,7 @@ let release_deferred (c : Store.copy) ~time =
         List.iter (fun f -> f time) (List.rev ds)
 
 let end_access ctx meta ~write =
+  settled ctx "Blocks.end_access";
   let c = local_copy ctx meta in
   if write then c.Store.writers <- c.Store.writers - 1
   else c.Store.readers <- c.Store.readers - 1;
@@ -264,6 +275,7 @@ let wpart w =
 (* Flush the queue as one vectored send: same-home updates coalesce into a
    single bulk message, and the whole flush charges one sender overhead. *)
 let flush_writes ctx =
+  settled ctx "Blocks.flush_writes";
   match ctx.wpending with
   | [] -> ()
   | ws ->
@@ -281,6 +293,7 @@ let drain ctx = if ctx.wpending <> [] then flush_writes ctx
    aliasing immediately. The returned ivar fills when the master holds the
    update. *)
 let queue_write_home ctx meta =
+  settled ctx "Blocks.queue_write_home";
   let n = node ctx in
   let copy = local_copy ctx meta in
   let done_iv = Ivar.create () in
@@ -294,6 +307,7 @@ let queue_write_home ctx meta =
   done_iv
 
 let fetch_shared ctx meta =
+  settled ctx "Blocks.fetch_shared";
   let n = node ctx in
   let copy = local_copy ctx meta in
   if copy.Store.cstate <> Store.Invalid then ()
@@ -331,6 +345,7 @@ let fetch_shared ctx meta =
    region, but the requester-side miss overhead is charged once for the
    whole batch. *)
 let fetch_shared_batch ctx metas =
+  settled ctx "Blocks.fetch_shared_batch";
   drain ctx;
   let n = node ctx in
   let missing =
@@ -408,6 +423,7 @@ let fetch_shared_batch ctx metas =
   end
 
 let fetch_exclusive ctx meta =
+  settled ctx "Blocks.fetch_exclusive";
   let n = node ctx in
   let copy = local_copy ctx meta in
   let d = meta.Store.dir in
@@ -496,6 +512,7 @@ let fetch_exclusive ctx meta =
   end
 
 let writeback ctx meta =
+  settled ctx "Blocks.writeback";
   let n = node ctx in
   let d = meta.Store.dir in
   if d.Store.owner <> n then ()
@@ -523,6 +540,7 @@ let writeback ctx meta =
   end
 
 let flush ctx meta =
+  settled ctx "Blocks.flush";
   let n = node ctx in
   writeback ctx meta;
   if n <> meta.Store.home then begin
@@ -547,6 +565,7 @@ let flush ctx meta =
    concurrent transaction recalling this node (the change-protocol barrier
    preceding the detach provides exactly this). *)
 let invalidate_batch ctx metas =
+  settled ctx "Blocks.invalidate_batch";
   drain ctx;
   reset_lcache ctx;
   let n = node ctx in
@@ -619,6 +638,7 @@ let forward_to_sharers ctx meta ~time ~snapshot ~n ~skip fan =
 (* The ivar fills once every consumer copy has been refreshed, so a writer
    awaiting it cannot race its own update past a barrier. *)
 let push_update ctx meta =
+  settled ctx "Blocks.push_update";
   let n = node ctx in
   let copy = local_copy ctx meta in
   let home = meta.Store.home in
@@ -664,7 +684,10 @@ let push_targets meta ~n dsts =
   in
   List.sort compare
     (if unlisted then
-       Dir.fold sharers ~except:n (fun ts s -> if List.mem s ts then ts else s :: ts) ts
+       List.fold_left
+         (fun ts s -> if List.mem s ts then ts else s :: ts)
+         ts
+         (Dir.to_list sharers ~except:n)
      else ts)
 
 (* One pushed update from [ctx]'s node arriving at [dst], one arrival of
@@ -688,6 +711,7 @@ let deliver_push ctx meta ~targets ~snapshot fan dst ~time =
   end
 
 let push_to ctx meta ~dsts =
+  settled ctx "Blocks.push_to";
   let snapshot = Store.snapshot meta ~src:(local_copy ctx meta).Store.cdata in
   let targets = push_targets meta ~n:ctx.node dsts in
   let done_iv = Ivar.create () in
@@ -715,6 +739,7 @@ let push_to ctx meta ~dsts =
    ivar fills once every consumer copy (and every remote master) has been
    refreshed. *)
 let push_to_batch ctx items =
+  settled ctx "Blocks.push_to_batch";
   (* The caller blocks on the returned ivar, and no fiber may block with a
      non-empty write-combining queue (see [drain]) — flush parked updates
      first so they cannot be stranded behind the push (e.g. a protocol
@@ -745,6 +770,7 @@ let push_to_batch ctx items =
   done_iv
 
 let read_home ctx meta =
+  settled ctx "Blocks.read_home";
   let n = node ctx in
   let copy = local_copy ctx meta in
   if n = meta.Store.home then ()
@@ -761,6 +787,7 @@ let read_home ctx meta =
   end
 
 let write_home_async ctx meta =
+  settled ctx "Blocks.write_home_async";
   let n = node ctx in
   let copy = local_copy ctx meta in
   let done_iv = Ivar.create () in
@@ -782,6 +809,7 @@ let write_home_async ctx meta =
    land, preserving queue order), and those for other homes flush in the
    same injection under one sender overhead. *)
 let acquire ctx meta ~fetch =
+  settled ctx "Blocks.acquire";
   let n = node ctx in
   let copy = if fetch then Some (local_copy ctx meta) else None in
   let l = meta.Store.lock in
@@ -840,6 +868,7 @@ let release_lock (l : Store.hlock) ~time =
   | None -> l.Store.held_by <- -1
 
 let home_unlock ctx meta =
+  settled ctx "Blocks.home_unlock";
   let n = node ctx in
   let l = meta.Store.lock in
   if n = meta.Store.home then begin
@@ -861,6 +890,7 @@ let home_unlock ctx meta =
    master in place — see the COUNTER protocol. Must not be called from the
    home node (the local copy aliases the master there). *)
 let fetch_add ctx meta ~delta =
+  settled ctx "Blocks.fetch_add";
   drain ctx;
   let n = node ctx in
   let copy = local_copy ctx meta in
@@ -881,6 +911,7 @@ let fetch_add ctx meta ~delta =
    transactions — deliberately NOT the user-visible region lock, which the
    application may already hold around the access. Home node only. *)
 let home_rmw_begin ctx meta =
+  settled ctx "Blocks.home_rmw_begin";
   drain ctx;
   assert (node ctx = meta.Store.home);
   let iv = Ivar.create () in
@@ -888,6 +919,7 @@ let home_rmw_begin ctx meta =
   Machine.await ctx.proc iv
 
 let home_rmw_end ctx meta =
+  settled ctx "Blocks.home_rmw_end";
   assert (node ctx = meta.Store.home);
   dir_exit meta ~time:ctx.proc.Machine.clock
 
@@ -895,6 +927,7 @@ let home_rmw_end ctx meta =
    update lands at the home), modelling a combined update+release message.
    The caller does not block. *)
 let unlock_after ctx meta (after : unit Ivar.t) =
+  settled ctx "Blocks.unlock_after";
   let n = node ctx in
   let l = meta.Store.lock in
   Ivar.on_fill after (fun ~time () ->

@@ -5,7 +5,10 @@
     library. Protocols (and the CRL baseline) are written by composing these
     primitives. All blocking entry points must be called from a simulated
     processor fiber; home-side transactions are serialized per region by the
-    directory's busy/pending queue.
+    directory's busy/pending queue. Every fiber-side entry point raises
+    [Invalid_argument] naming itself when the calling processor still has
+    deferred charges ({!Ace_engine.Machine.defer}): they run at the
+    caller's true clock, so the caller settles first.
 
     Each coherence leg is written once and shared by the entry points that
     use it: one update landing in the master (pushes, write-backs, recalls,

@@ -184,9 +184,24 @@ let iter t ~except f =
       done
     done
 
-let fold t ~except f acc =
-  let acc = ref acc in
-  iter t ~except (fun node -> acc := f !acc node);
+(* Walk down from the largest member, consing, so the list comes out
+   ascending and nothing but its cells is allocated. *)
+let to_list t ~except =
+  let acc = ref [] in
+  if t.small_n >= 0 then
+    for i = t.small_n - 1 downto 0 do
+      let node = t.small.(i) in
+      if node <> except then acc := node :: !acc
+    done
+  else
+    for w = Array.length t.bits - 1 downto 0 do
+      let v = t.bits.(w) in
+      if v <> 0 then
+        for b = bits_per_word - 1 downto 0 do
+          let node = (w * bits_per_word) + b in
+          if v land (1 lsl b) <> 0 && node <> except then acc := node :: !acc
+        done
+    done;
   !acc
 
 (* Heap words attributable to this set (excluding the record itself, which

@@ -44,8 +44,9 @@ val clear : t -> unit
     every member. *)
 val iter : t -> except:int -> (int -> unit) -> unit
 
-(** [fold t ~except f acc] folds over members in ascending order. *)
-val fold : t -> except:int -> ('a -> int -> 'a) -> 'a -> 'a
+(** [to_list t ~except] is the members except [except], ascending. It
+    allocates the list's cells and nothing else. *)
+val to_list : t -> except:int -> int list
 
 (** Heap words of storage attributable to this set — the inline array plus
     any bitset words. Never shrinks except across mode resets, so an

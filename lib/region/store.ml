@@ -245,8 +245,7 @@ let drop_copy meta ~node =
 
 let iter_sharers meta ~except f = Dir.iter meta.dir.sharers ~except f
 
-let sharers meta ~except =
-  List.rev (Dir.fold meta.dir.sharers ~except (fun acc node -> node :: acc) [])
+let sharers meta ~except = Dir.to_list meta.dir.sharers ~except
 
 let check_invariants meta =
   let d = meta.dir in

@@ -143,7 +143,8 @@ val drop_copy : meta -> node:int -> unit
     [f] must not toggle sharer bits of nodes it has not yet visited. *)
 val iter_sharers : meta -> except:int -> (int -> unit) -> unit
 
-(** Current sharer nodes, excluding [except], ascending. Allocates; prefer
+(** Current sharer nodes, excluding [except], ascending. Allocates the
+    list's cells (3 words a sharer) and nothing else; prefer
     {!iter_sharers} on hot paths. *)
 val sharers : meta -> except:int -> int list
 

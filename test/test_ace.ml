@@ -176,6 +176,59 @@ let null_protocol_cheaper_than_sc () =
   in
   check "null hooks cost less" true (time_with "NULL" < time_with "SC")
 
+(* ---- read-hit allocation ----
+
+   One read hit, [start_read] + [end_read] on a region the caller homes,
+   through Ace's dispatch to the SC protocol and through CRL. Each bound is
+   the exact minor words one hit allocated when the guard was written:
+   a per-call closure in the dispatch or a park per charge shows. (They
+   live here, not beside the engine's allocation guards, because linking
+   [Ops] into the engine tests interns its DAG kinds and so moves the
+   pinned DAG's bytes.) *)
+
+module Crl = Ace_crl.Crl
+
+let check_words name ~bound per =
+  check (Printf.sprintf "%.2f minor words per %s <= %.0f" per name bound) true
+    (per <= bound)
+
+let hit_words ~warm ~n hit =
+  for _ = 1 to warm do
+    hit ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    hit ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let ace_read_hit_allocation () =
+  let rt = Runtime.create ~nprocs:2 () in
+  ignore (Runtime.new_space rt "SC");
+  let per = ref infinity in
+  Runtime.run rt (fun ctx ->
+      if Ops.me ctx = 0 then begin
+        let h = Ops.alloc ctx ~space:0 ~len:4 in
+        per :=
+          hit_words ~warm:100 ~n:20_000 (fun () ->
+              Ops.start_read ctx h;
+              Ops.end_read ctx h)
+      end);
+  check_words "Ace SC read hit" ~bound:28. !per
+
+let crl_read_hit_allocation () =
+  let sys = Crl.create ~nprocs:2 () in
+  let per = ref infinity in
+  Crl.run sys (fun ctx ->
+      if Crl.me ctx = 0 then begin
+        let h = Crl.alloc ctx ~space:0 ~len:4 in
+        per :=
+          hit_words ~warm:100 ~n:20_000 (fun () ->
+              Crl.start_read ctx h;
+              Crl.end_read ctx h)
+      end);
+  check_words "CRL read hit" ~bound:16. !per
+
 let () =
   Alcotest.run "ace_runtime"
     [
@@ -203,5 +256,10 @@ let () =
           Alcotest.test_case "global_id" `Quick global_id_naming;
           Alcotest.test_case "map hit/miss" `Quick map_costs_hit_vs_miss;
           Alcotest.test_case "null cheaper" `Quick null_protocol_cheaper_than_sc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Ace read hit" `Quick ace_read_hit_allocation;
+          Alcotest.test_case "CRL read hit" `Quick crl_read_hit_allocation;
         ] );
     ]

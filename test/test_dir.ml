@@ -83,7 +83,9 @@ let dir_matches_bool_array =
           | Iter except ->
               let got = collect (fun f -> Dir.iter d ~except f) in
               let want = collect (fun f -> ref_iter r ~except f) in
-              if got <> want then QCheck.Test.fail_report "iter order differs");
+              if got <> want then QCheck.Test.fail_report "iter order differs";
+              if Dir.to_list d ~except <> want then
+                QCheck.Test.fail_report "to_list differs");
           if Dir.count d <> ref_count r then
             QCheck.Test.fail_report "count differs";
           for n = 0 to nprocs - 1 do
@@ -145,6 +147,37 @@ let visit_order_nprocs32 () =
     "iter_sharers ~except" [ 2; 19; 30 ]
     (collect (fun f -> Store.iter_sharers meta ~except:7 f))
 
+(* [Store.sharers] builds its result list and nothing else: 3 words (one
+   cons cell) per sharer, in the inline mode and the bitset mode alike.
+   Averaged over many calls so the two reads of the counter vanish. *)
+let sharers_allocation () =
+  let store = Store.create ~nprocs:200 () in
+  let meta = Store.alloc store ~home:7 ~len:4 ~space:0 in
+  let words ~except =
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Store.sharers meta ~except))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let expect label want =
+    let got = Store.sharers meta ~except:7 in
+    Alcotest.(check (list int)) (label ^ " ascending") want got;
+    let per = words ~except:7 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words for %d sharers" label per
+         (List.length want))
+      true
+      (Float.abs (per -. float_of_int (3 * List.length want)) < 0.01)
+  in
+  List.iter (Dir.add meta.Store.dir.Store.sharers) [ 19; 2; 30 ];
+  expect "inline" [ 2; 19; 30 ];
+  List.iter (Dir.add meta.Store.dir.Store.sharers) [ 199; 64; 61; 0; 125 ];
+  Alcotest.(check bool) "overflowed" false
+    (Dir.is_small meta.Store.dir.Store.sharers);
+  expect "bitset" [ 0; 2; 19; 30; 61; 64; 125; 199 ]
+
 (* ---- directory memory sublinearity ---- *)
 
 (* A sparsely-shared population (every region mapped everywhere, cached by
@@ -192,7 +225,10 @@ let () =
           QCheck_alcotest.to_alcotest iter_robust_to_self_removal;
         ] );
       ( "regression",
-        [ Alcotest.test_case "visit order @32" `Quick visit_order_nprocs32 ] );
+        [
+          Alcotest.test_case "visit order @32" `Quick visit_order_nprocs32;
+          Alcotest.test_case "sharers allocation" `Quick sharers_allocation;
+        ] );
       ( "memory",
         [
           Alcotest.test_case "sublinear directory memory" `Quick

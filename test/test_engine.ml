@@ -443,6 +443,136 @@ let static_push_allocation () =
       Machine.await p (Blocks.push_to ctx meta ~dsts:[ 1 ]))
   |> check_words "static push" ~bound:130.
 
+(* ---- deferred charges ----
+
+   [Machine.defer] ... [Machine.settle] must be [Machine.advance] per
+   charge with fewer fiber switches and nothing else: the same events at
+   the same times in the same order. Each processor runs a random list of
+   charges, explicit settles, awaits of ivars that scheduled events fill,
+   and sends (an event scheduled at the sender's clock plus a delay); at
+   the end all meet at a barrier and charge a few cycles more, which the
+   fiber's exit settles. The program runs once with [advance] for every
+   charge and once with [defer], the settles splitting each processor's
+   charges into runs (without settles, a run can outgrow the charge
+   buffer). Every settle, await and event pop logs (time, processor, tag);
+   the logs and the final clocks must be identical under every tie-break
+   policy. *)
+
+type dop = Charge of float | Settle | Await of int | Send of float
+
+let dprog_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 8 >>= fun nprocs ->
+    int_range 1 4 >>= fun nivars ->
+    list_repeat nivars (int_range 0 60) >>= fun fills ->
+    let op settle_w =
+      frequency
+        ((8, map (fun c -> Charge (float_of_int c /. 2.)) (int_range 0 8))
+         :: (1, map (fun k -> Await k) (int_bound (nivars - 1)))
+         :: (1, map (fun d -> Send (float_of_int d)) (int_range 0 6))
+         :: (if settle_w > 0 then [ (settle_w, return Settle) ] else []))
+    in
+    list_repeat nprocs
+      (int_range 0 4 >>= fun settle_w -> list_size (int_range 0 150) (op settle_w))
+    >|= fun progs -> (nprocs, fills, progs)
+  in
+  let print (nprocs, fills, progs) =
+    let op = function
+      | Charge c -> Printf.sprintf "%g" c
+      | Settle -> "S"
+      | Await k -> Printf.sprintf "A%d" k
+      | Send d -> Printf.sprintf "M%g" d
+    in
+    Printf.sprintf "nprocs=%d fills=[%s]\n%s" nprocs
+      (String.concat ";" (List.map string_of_int fills))
+      (String.concat "\n"
+         (List.map (fun ops -> String.concat " " (List.map op ops)) progs))
+  in
+  QCheck.make ~print gen
+
+let run_dprog ~policy ~deferred (nprocs, fills, progs) =
+  let m = Machine.create ~policy ~nprocs () in
+  let b = Machine.Barrier.create m ~cost:(fun _ -> 2.) in
+  let ivs = Array.of_list (List.map (fun _ -> Ivar.create ()) fills) in
+  let progs = Array.of_list progs in
+  let procs = Array.make nprocs None in
+  let log = ref [] in
+  let note time proc tag = log := (time, proc, tag) :: !log in
+  let charge p c = if deferred then Machine.defer p c else Machine.advance p c in
+  Machine.run m (fun p ->
+      let id = p.Machine.id in
+      procs.(id) <- Some p;
+      if id = 0 then
+        List.iteri
+          (fun k t ->
+            let time = float_of_int t in
+            Machine.schedule m ~time (fun () ->
+                note time (-1) k;
+                Ivar.fill ivs.(k) ~time ()))
+          fills;
+      List.iteri
+        (fun i op ->
+          match op with
+          | Charge c -> charge p c
+          | Settle ->
+              Machine.settle p;
+              note p.Machine.clock id i
+          | Await k ->
+              Machine.await p ivs.(k);
+              note p.Machine.clock id i
+          | Send d ->
+              Machine.settle p;
+              let time = p.Machine.clock +. d in
+              Machine.schedule m ~time (fun () -> note time id (1000 + i)))
+        progs.(id);
+      Machine.Barrier.wait b p;
+      note p.Machine.clock id (-2);
+      charge p 1.;
+      charge p (float_of_int id);
+      charge p 0.5);
+  let clocks =
+    Array.map (function Some p -> p.Machine.clock | None -> nan) procs
+  in
+  (List.rev !log, clocks, Machine.time m)
+
+let deferred_charges_equivalence =
+  List.map
+    (fun policy ->
+      let name = Eq.policy_to_string policy in
+      QCheck.Test.make ~count:150
+        ~name:(Printf.sprintf "defer/settle = advance under %s" name)
+        dprog_arb
+        (fun prog ->
+          let eager = run_dprog ~policy ~deferred:false prog in
+          let deferred = run_dprog ~policy ~deferred:true prog in
+          eager = deferred))
+    [
+      Eq.Fifo;
+      Eq.policy_of_string "random:1";
+      Eq.policy_of_string "rotate:3:1";
+    ]
+
+(* A Blocks entry point called with a charge still deferred is rejected,
+   naming the entry point. *)
+let blocks_rejects_pending () =
+  let m = Machine.create ~nprocs:2 () in
+  let am = Ace_net.Am.create m Ace_net.Cost_model.cm5_ace in
+  let net = Ace_net.Reliable.create am in
+  let store = Store.create ~nprocs:2 () in
+  let meta = Store.alloc store ~home:0 ~len:4 ~space:0 in
+  let msg = ref "" in
+  Machine.run m (fun p ->
+      if p.Machine.id = 1 then begin
+        let ctx = Blocks.make_ctx net store p in
+        Machine.defer p 3.;
+        (try Blocks.fetch_shared ctx meta with Invalid_argument s -> msg := s);
+        Machine.settle p
+      end);
+  Alcotest.(check string)
+    "rejected" "Blocks.fetch_shared: called with deferred charges pending" !msg;
+  check "settled" true (Machine.time m = 3.)
+
 (* A run with a DAG recorder attached: compute intervals on both chains,
    an ivar filled ahead of its await but with a later fill time, one
    awaited before it is filled, a barrier, and a second phase. The
@@ -786,6 +916,8 @@ let () =
             write_miss_allocation;
           Alcotest.test_case "static push allocation" `Quick
             static_push_allocation;
+          Alcotest.test_case "Blocks rejects pending charges" `Quick
+            blocks_rejects_pending;
           Alcotest.test_case "crit DAG pinned" `Quick machine_crit_dag_pinned;
           Alcotest.test_case "barrier sync" `Quick machine_barrier_sync;
           Alcotest.test_case "barrier reuse" `Quick machine_barrier_reusable;
@@ -795,6 +927,7 @@ let () =
           Alcotest.test_case "negative advance" `Quick
             machine_rejects_negative_advance;
         ] );
+      ("deferred", List.map QCheck_alcotest.to_alcotest deferred_charges_equivalence);
       ( "fixtures",
         [
           Alcotest.test_case "same-timestamp events" `Quick fixture_ties;
