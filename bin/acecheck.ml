@@ -171,21 +171,17 @@ let run_fuzz o ~protocols ~label ~expect_failure =
    combinator (SC that never acquires exclusive write access) must be
    caught too. *)
 let run_combinators o =
-  let name (e : Ace_combinator.Library.entry) =
-    e.Ace_combinator.Library.proto.Ace_runtime.Protocol.name
-  in
   let ok =
     List.for_all
-      (fun e ->
-        let n = name e in
+      (fun n ->
         run_fuzz o
           ~protocols:(Some [ "SC"; n ])
           ~label:("combinator " ^ n) ~expect_failure:false)
-      Ace_combinator.Library.all
+      Ace_combinator.Library.names
   in
   if not o.inject_broken then ok
   else begin
-    let n = name Ace_combinator.Library.broken in
+    let n = Ace_combinator.Library.broken_sc.Ace_runtime.Protocol.name in
     Printf.printf
       "[broken] injecting %s (SC whose writes never reach the master)\n%!" n;
     let caught =
@@ -230,15 +226,17 @@ let () =
       let ok =
         if not o.inject_broken then ok
         else begin
-          (* The broken protocol admits only single-writer programs, so
-             fuzz that shape directly against it. *)
-          let protocols =
-            Some [ "SC"; Runner.broken_protocol.Ace_runtime.Protocol.name ]
+          (* The broken protocol keeps DYN_UPDATE's contract, one plain
+             writer per epoch, so the kit fuzzes it on the programs that
+             contract admits. *)
+          let n =
+            Ace_combinator.Library.broken_dyn_update.Ace_runtime.Protocol.name
           in
           Printf.printf
             "[broken] injecting %s (an update protocol that drops its \
              propagation)\n%!"
-            Runner.broken_protocol.Ace_runtime.Protocol.name;
+            n;
+          let protocols = Some [ "SC"; n ] in
           let caught = run_fuzz o ~protocols ~label:"broken" ~expect_failure:true in
           if not caught then
             print_endline

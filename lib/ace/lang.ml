@@ -36,9 +36,12 @@
    raises [Invalid_argument] if the processor's clock moved, so it can
    never change simulated output.
 
+   A spec also declares its {!contract}, the programs the protocol runs
+   correctly; [compile] copies it into the record.
+
    Layers ({!counting}, {!write_combining}) are spec-to-spec transforms, so
    composition happens before compilation and costs nothing at dispatch
-   time. *)
+   time; a layer keeps the contract of the spec it wraps. *)
 
 module Blocks = Ace_region.Blocks
 module Store = Ace_region.Store
@@ -89,12 +92,16 @@ type _ action =
   | Drain_writes : Protocol.space action  (* await every [Write_home_async] *)
   | Prefetch_space : Protocol.space action  (* one batched shared fetch of all *)
 
+type contract = Protocol.contract =
+  | Drf | Read_only | Writer_per_epoch | Fixed_writer | Write_once | Incr_only
+
 type raction = Store.meta action
 type saction = Protocol.space action
 type point = Start_read | End_read | Start_write | End_write
 
 type spec = {
   name : string;
+  contract : contract;
   start_read : raction list;
   end_read : raction list;
   start_write : raction list;
@@ -111,9 +118,10 @@ type spec = {
 
 let define ?(start_read = []) ?(end_read = []) ?(start_write = [])
     ?(end_write = []) ?(lock = []) ?(unlock = []) ?(barrier = []) ?(attach = [])
-    ?(detach = []) ?(unregistered = []) name =
+    ?(detach = []) ?(unregistered = []) ~contract name =
   {
     name;
+    contract;
     start_read;
     end_read;
     start_write;
@@ -525,6 +533,7 @@ let compile (s : spec) : Protocol.protocol =
   let points = [ Start_read; End_read; Start_write; End_write ] in
   {
     Protocol.name = s.name;
+    contract = s.contract;
     optimizable = not (List.exists (fun pt -> List.exists pinned (acts_of pt)) points);
     has_start_read = has Start_read;
     has_end_read = has End_read;
@@ -597,7 +606,7 @@ let write_combining s =
    they opt into a custom protocol. Its exclusive fetch makes it not
    optimizable: SC forbids reordering protocol calls (paper §4.2). *)
 let sc =
-  define "SC"
+  define "SC" ~contract:Drf
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~end_read:[ Charge End_op ]
     ~start_write:[ Charge Start_hit; Fetch_exclusive ]
@@ -609,5 +618,5 @@ let sc =
    only at its home (e.g. Water's intra-molecular phase, paper §2.2).
    Locks remain real so synchronization stays sound. *)
 let null =
-  define "NULL" ~lock:sc_lock ~unlock:sc_unlock
+  define "NULL" ~contract:Read_only ~lock:sc_lock ~unlock:sc_unlock
     ~detach:[ Drop_remote_copies ]

@@ -47,6 +47,18 @@ val lock : ctx -> h -> unit
 
 val unlock : ctx -> h -> unit
 
+(** Direct dispatch (§4.2), for compiled code that knows the space's
+    protocol: the same calls as [start_read] .. [unlock], to the space's
+    current protocol and under the same trace and DAG probes, without the
+    dispatch indirection's charge and per-space count. *)
+val direct_start_read : ctx -> h -> unit
+
+val direct_end_read : ctx -> h -> unit
+val direct_start_write : ctx -> h -> unit
+val direct_end_write : ctx -> h -> unit
+val direct_lock : ctx -> h -> unit
+val direct_unlock : ctx -> h -> unit
+
 (** The machine-wide barrier with no protocol hook (used by protocols and
     by [change_protocol] internally). *)
 val base_barrier : ctx -> unit

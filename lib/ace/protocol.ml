@@ -13,6 +13,20 @@ module Machine = Ace_engine.Machine
 module Store = Ace_region.Store
 module Blocks = Ace_region.Blocks
 
+(* Which programs a protocol runs correctly, as its spec declares: the
+   conformance kit runs a program only under protocols whose contract it
+   keeps. An epoch is the span between two barriers. *)
+type contract =
+  | Drf (* any data-race-free program *)
+  | Read_only (* no writes at all *)
+  | Writer_per_epoch (* a written region has one plain writer per epoch and
+                        nobody else touches it in that epoch *)
+  | Fixed_writer (* one writer per region for the whole run; its write
+                    epochs have no readers and its read epochs one fixed
+                    reader set *)
+  | Write_once (* only the home writes, and before any remote read *)
+  | Incr_only (* the only writes are unlocked +1 increments *)
+
 (* Protocol-private, per-space per-node state. Each protocol extends this
    type with its own constructor (OCaml's answer to the paper's untyped
    space-data pointer, but type-safe). *)
@@ -62,6 +76,7 @@ and ctx = {
 
 and protocol = {
   name : string;
+  contract : contract;
   optimizable : bool;
   has_start_read : bool;
   has_end_read : bool;

@@ -12,6 +12,9 @@ val create :
   ?policy:Ace_engine.Event_queue.policy ->
   nprocs:int -> unit -> Protocol.runtime
 
+(** The pre-registered protocols, SC and NULL. *)
+val builtins : Protocol.protocol list
+
 val machine : Protocol.runtime -> Ace_engine.Machine.t
 
 (** The raw Active Messages layer (attach a fault model here with

@@ -50,7 +50,7 @@ let access_cycles = 1.
 
 (* Every instruction charge is deferred ([Machine.defer]): a run of
    charges parks once, at the next runtime call that settles (every [Ops]
-   entry point the interpreter calls, and the direct calls below), with
+   entry point the interpreter calls, and a removed call's bookkeeping), with
    the same events at the same times as charging each at once. *)
 let charge fr c = Machine.defer fr.ctx.Protocol.proc c
 let settle fr = Machine.settle fr.ctx.Protocol.proc
@@ -179,45 +179,29 @@ let crexpr sc (r : Ir.rexpr) : frame -> int =
 
 (* ---- protocol calls ---- *)
 
-let space_of fr (meta : Store.meta) =
-  Ace_runtime.Runtime.space fr.ctx.Protocol.rt meta.Store.space
+(* A protocol call on handle [t]: dynamic ([Ops]' dispatch), direct
+   ([Ops]' direct variant) or removed. A removed call is gone from the
+   compiled code: it charges nothing and shows in no trace, and [removed]
+   only keeps the simulator's access bookkeeping consistent. *)
+let protocol_call sc t (a : Ir.ann) ~dispatched ~direct ~removed =
+  let ti = slot sc t in
+  if a.Ir.removed then fun fr -> removed fr (mapped fr t ti)
+  else
+    let call = if a.Ir.direct then direct else dispatched in
+    fun fr ->
+      let meta = mapped fr t ti in
+      charge fr call_overhead;
+      call fr.ctx meta
 
-(* Direct variants bypass the space dispatch but still run the (single
-   known) protocol's handler and the access bookkeeping. The space is
-   looked up at call time: a changeproto may have swapped its protocol. *)
-let direct_start ~write ~removed fr meta =
-  let proto = (space_of fr meta).Protocol.proto in
-  if not removed then
-    (if write then proto.Protocol.start_write else proto.Protocol.start_read)
-      fr.ctx meta;
+let removed_start ~write fr meta =
   settle fr;
   Blocks.begin_access fr.ctx.Protocol.bctx meta ~write
 
-let direct_end ~write ~removed fr meta =
-  let proto = (space_of fr meta).Protocol.proto in
-  if not removed then
-    (if write then proto.Protocol.end_write else proto.Protocol.end_read)
-      fr.ctx meta;
+let removed_end ~write fr meta =
   settle fr;
   Blocks.end_access fr.ctx.Protocol.bctx meta ~write
 
-(* A protocol call on handle [t]: dynamic (dispatched), direct, or removed.
-   A removed call is gone from the compiled code; [direct] still keeps the
-   simulator's bookkeeping consistent, at zero cost. *)
-let protocol_call sc t (a : Ir.ann) ~dispatched ~direct =
-  let ti = slot sc t in
-  if a.Ir.removed then fun fr -> direct fr (mapped fr t ti)
-  else if a.Ir.direct then fun fr ->
-    let meta = mapped fr t ti in
-    charge fr call_overhead;
-    direct fr meta
-  else fun fr ->
-    let meta = mapped fr t ti in
-    charge fr call_overhead;
-    dispatched fr.ctx meta
-
-let direct_lock hook ~removed fr meta =
-  if not removed then hook (space_of fr meta).Protocol.proto fr.ctx meta
+let removed_lock _ _ = ()
 
 (* ---- statements and functions ---- *)
 
@@ -309,13 +293,17 @@ let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
         let rid = r fr in
         set fr ti (VMapped (Ops.map fr.ctx rid))
   | Ir.IStart (mode, t, a) ->
+      let write = mode = Ir.Write in
       protocol_call sc t a
-        ~dispatched:(match mode with Ir.Read -> Ops.start_read | Ir.Write -> Ops.start_write)
-        ~direct:(direct_start ~write:(mode = Ir.Write) ~removed:a.Ir.removed)
+        ~dispatched:(if write then Ops.start_write else Ops.start_read)
+        ~direct:(if write then Ops.direct_start_write else Ops.direct_start_read)
+        ~removed:(removed_start ~write)
   | Ir.IEnd (mode, t, a) ->
+      let write = mode = Ir.Write in
       protocol_call sc t a
-        ~dispatched:(match mode with Ir.Read -> Ops.end_read | Ir.Write -> Ops.end_write)
-        ~direct:(direct_end ~write:(mode = Ir.Write) ~removed:a.Ir.removed)
+        ~dispatched:(if write then Ops.end_write else Ops.end_read)
+        ~direct:(if write then Ops.direct_end_write else Ops.direct_end_read)
+        ~removed:(removed_end ~write)
   | Ir.ILoadShared (x, t, i) ->
       let xi = slot sc x and ti = slot sc t and i = cexpr i in
       fun fr ->
@@ -381,11 +369,11 @@ let rec cstmt resolve sc (s : Ir.istmt) : frame -> unit =
       let si = slot sc s in
       fun fr -> Ops.barrier fr.ctx ~space:(space_sid fr s si)
   | Ir.ILock (t, a) ->
-      protocol_call sc t a ~dispatched:Ops.lock
-        ~direct:(direct_lock (fun p -> p.Protocol.lock) ~removed:a.Ir.removed)
+      protocol_call sc t a ~dispatched:Ops.lock ~direct:Ops.direct_lock
+        ~removed:removed_lock
   | Ir.IUnlock (t, a) ->
-      protocol_call sc t a ~dispatched:Ops.unlock
-        ~direct:(direct_lock (fun p -> p.Protocol.unlock) ~removed:a.Ir.removed)
+      protocol_call sc t a ~dispatched:Ops.unlock ~direct:Ops.direct_unlock
+        ~removed:removed_lock
   | Ir.IChangeProto (s, proto) ->
       let si = slot sc s in
       fun fr -> Ops.change_protocol fr.ctx ~space:(space_sid fr s si) proto

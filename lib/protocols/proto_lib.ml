@@ -19,7 +19,7 @@ open Ace_runtime.Lang
    push. Consumers synchronize before reading, so they observe the same
    values at the same synchronization points as the immediate push. *)
 let dyn_update =
-  define "DYN_UPDATE"
+  define "DYN_UPDATE" ~contract:Writer_per_epoch
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Charge Start_hit; Fetch_shared ]
     ~end_write:[ If_batching ([ Queue_update ], [ Push_update ]) ]
@@ -33,7 +33,7 @@ let dyn_update =
    no separate invalidation is ever needed. Exclusive fetches make it not
    optimizable. *)
 let migratory =
-  define "MIGRATORY"
+  define "MIGRATORY" ~contract:Drf
     ~start_read:[ Charge Start_hit; Fetch_exclusive ]
     ~start_write:[ Charge Start_hit; Fetch_exclusive ]
     ~lock:sc_lock ~unlock:sc_unlock ~detach:[ Flush_space ]
@@ -44,7 +44,7 @@ let migratory =
    deletes it (§4.2); the home-only assertion stays as a debug check.
    Reads fetch on a miss and then stay valid. *)
 let write_once =
-  define "WRITE_ONCE"
+  define "WRITE_ONCE" ~contract:Write_once
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Assert_home ] ~unregistered:[ Start_write ] ~lock:sc_lock
     ~unlock:sc_unlock ~detach:[ Flush_space ]
@@ -57,7 +57,7 @@ let write_once =
    in-place RMW with the local region lock instead. The home RMW makes it
    not optimizable: RMW atomicity must not be reordered. *)
 let counter =
-  define "COUNTER"
+  define "COUNTER" ~contract:Incr_only
     ~start_read:[ Charge Start_hit; Read_home ]
     ~start_write:
       [
@@ -80,7 +80,7 @@ let counter =
    automatically"). Detach pushes anything still queued, then flushes to
    base state. *)
 let static_update =
-  define "STATIC_UPDATE"
+  define "STATIC_UPDATE" ~contract:Fixed_writer
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Charge Start_hit; Fetch_shared; Queue_update ]
     ~barrier:[ Push_learned ] ~lock:sc_lock ~unlock:sc_unlock
@@ -107,7 +107,7 @@ let static_update =
    Under SC the same source pays a blocking exclusive fetch (with an
    invalidation storm of every position reader) per accumulation. *)
 let pipeline =
-  define "PIPELINE"
+  define "PIPELINE" ~contract:Drf
     ~start_read:[ Charge Start_hit; Fetch_shared ]
     ~start_write:[ Charge Start_hit; Fetch_shared ]
     ~end_write:[ Charge End_op; Write_home_async; Count "proto.pipeline.writes" ]

@@ -148,7 +148,7 @@ let reports (sp : Protocol.space) = List.rev (shared sp).reports
    keeps the protocol's calls where the program put them. *)
 let spec =
   Lang.(
-    define "RACE_CHECK"
+    define "RACE_CHECK" ~contract:Drf
       ~start_read:[ Fetch_shared; Observe read ]
       ~start_write:[ Fetch_exclusive; Observe write ]
       ~barrier:[ Observe barrier ]

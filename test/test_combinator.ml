@@ -1,9 +1,10 @@
 (* Tests for the protocol language (Lang) and the combinator library:
    compiled null hooks and the unregistered-hook rule, DSL_<X> aliases
    registering exactly like X, layer semantics (counting is transparent,
-   write-combining publishes at sync points), duplicate-registration
-   rejection, and the broken-canary combinator that the conformance kit
-   must catch and shrink. *)
+   write-combining publishes at sync points, every layer keeps its base
+   spec's contract), duplicate-registration rejection, and the
+   broken-canary combinator that the conformance kit must catch and
+   shrink. *)
 
 module Lang = Ace_runtime.Lang
 module Library = Ace_combinator.Library
@@ -24,18 +25,18 @@ let check = Alcotest.(check bool)
 (* Absent hooks must compile to THE null hook (physical equality), not a
    lookalike — the registry derivation and direct dispatch depend on it. *)
 let null_hooks_are_physical () =
-  let p = Library.migratory.Library.proto in
+  let p = Library.migratory in
   check "end_read is the null hook" true (p.Protocol.end_read == Protocol.null_hook);
   check "barrier is the null hook" true (p.Protocol.barrier == Protocol.null_hook);
   check "attach is the null hook" true (p.Protocol.attach == Protocol.null_hook);
-  let wo = Library.write_once.Library.proto in
+  let wo = Library.write_once in
   check "write_once start_write is live" true
     (wo.Protocol.start_write != Protocol.null_hook);
   check "write_once start_write unregistered" false wo.Protocol.has_start_write
 
 let effectful_unregistered_rejected () =
   let bad =
-    Lang.define
+    Lang.define ~contract:Lang.Drf
       ~start_write:[ Lang.Charge Lang.Start_hit ]
       ~unregistered:[ Lang.Start_write ] "BAD_UNREG"
   in
@@ -66,8 +67,7 @@ let derived_registration () =
   in
   Alcotest.(check (list string)) "library entries" (List.map fst expected) Library.names;
   List.iter
-    (fun (e : Library.entry) ->
-      let p = e.Library.proto in
+    (fun p ->
       check (p.Protocol.name ^ " registration") true
         (List.assoc p.Protocol.name expected
         = ( p.Protocol.optimizable,
@@ -84,7 +84,7 @@ let observe_must_not_advance () =
     let rt = Runtime.create ~nprocs:2 () in
     Runtime.register rt
       (Lang.compile
-         (Lang.define "OBSERVE_TEST" ~start_read:[ Lang.Fetch_shared; Lang.Observe observe ]));
+         (Lang.define "OBSERVE_TEST" ~contract:Lang.Drf ~start_read:[ Lang.Fetch_shared; Lang.Observe observe ]));
     ignore (Runtime.new_space rt "OBSERVE_TEST");
     Runtime.run rt (fun ctx ->
         let h = Ops.alloc ctx ~space:0 ~len:1 in
@@ -229,10 +229,7 @@ let duplicate_dsl_registration_rejected () =
   Library.register_all rt;
   Alcotest.check_raises "re-registering the library"
     (Invalid_argument "Runtime.register: duplicate protocol DSL_SC")
-    (fun () -> Library.register_all rt);
-  Alcotest.check_raises "duplicate admits alias"
-    (Invalid_argument "Prog.register_admits_like: duplicate DSL_SC")
-    (fun () -> Prog.register_admits_like ~name:"DSL_SC" ~like:"SC")
+    (fun () -> Library.register_all rt)
 
 (* A DSL_<X> alias registers exactly like X (Fig. 1 flags, optimizable
    bit) apart from its name: the two names share one spec. *)
@@ -258,23 +255,41 @@ let dsl_protocols_in_default_grid () =
         (List.mem n Runner.default_protocols))
     Library.names
 
-let admits_follows_alias () =
-  let st = Random.State.make [| 7 |] in
-  for _ = 1 to 20 do
-    let p = Prog.generate () st in
-    let f = Prog.features p in
-    List.iter
-      (fun (e : Library.entry) ->
-        check "alias admissibility" true
-          (Prog.admits f e.Library.proto.Protocol.name
-          = Prog.admits f e.Library.admits_like))
-      (Library.broken :: Library.all)
-  done
+(* A layer keeps the contract of the spec it wraps. *)
+let layers_keep_contract () =
+  List.iter
+    (fun (s : Lang.spec) ->
+      List.iter
+        (fun (layer, l) ->
+          check (s.Lang.name ^ " under " ^ layer) true
+            ((l s).Lang.contract = s.Lang.contract))
+        [
+          ("with_name", Lang.with_name "LAYERED");
+          ("counting", fun s -> Lang.counting s);
+          ("write_combining", Lang.write_combining);
+        ])
+    (Lang.sc :: Lang.null :: Ace_protocols.Proto_lib.specs)
+
+(* Each library protocol, and the combinator canary, runs the programs
+   the protocol it was built from runs. *)
+let library_contracts () =
+  let contract_of name =
+    (List.find
+       (fun p -> p.Protocol.name = name)
+       (Runtime.builtins @ Ace_protocols.Proto_lib.all))
+      .Protocol.contract
+  in
+  List.iter2
+    (fun p base ->
+      check (p.Protocol.name ^ " keeps " ^ base ^ "'s contract") true
+        (p.Protocol.contract = contract_of base))
+    (Library.all @ [ Library.broken_sc ])
+    [ "SC"; "WRITE_ONCE"; "MIGRATORY"; "DYN_UPDATE"; "SC"; "SC" ]
 
 (* The canary: the kit must catch the broken combinator, shrink it, and
    the .repro must round-trip and still fail. *)
 let fuzz_catches_broken_combinator () =
-  let name = Library.broken.Library.proto.Protocol.name in
+  let name = Library.broken_sc.Protocol.name in
   let report =
     Runner.fuzz ~protocols:[ "SC"; name ] ~seed:3 ~count:200 ~schedules:8
       ~fault_specs:[] ~batch_modes:[ false ] ()
@@ -505,6 +520,7 @@ let () =
             counting_layer_transparent;
           Alcotest.test_case "write-combining sync flush" `Quick
             write_combining_flushes_at_sync;
+          Alcotest.test_case "contract kept" `Quick layers_keep_contract;
         ] );
       ( "registry",
         [
@@ -518,8 +534,7 @@ let () =
         [
           Alcotest.test_case "enrolled in default grid" `Quick
             dsl_protocols_in_default_grid;
-          Alcotest.test_case "admissibility follows alias" `Quick
-            admits_follows_alias;
+          Alcotest.test_case "library contracts" `Quick library_contracts;
           Alcotest.test_case "kit catches broken combinator" `Slow
             fuzz_catches_broken_combinator;
           Alcotest.test_case "change_protocol through DSL" `Quick

@@ -183,7 +183,8 @@ let fuzz_registry_clean () =
 let fuzz_catches_broken_protocol () =
   let report =
     Runner.fuzz
-      ~protocols:[ "SC"; Runner.broken_protocol.Ace_runtime.Protocol.name ]
+      ~protocols:
+        [ "SC"; Ace_combinator.Library.broken_dyn_update.Ace_runtime.Protocol.name ]
       ~seed:3 ~count:200 ~schedules:8 ~fault_specs:[] ~batch_modes:[ false ]
       ()
   in
@@ -299,6 +300,31 @@ let benchmarks_schedule_independent () =
         reference got)
     (List.tl policies)
 
+(* Admission is each protocol's declared contract: over a fixed corpus of
+   20,000 default-shape programs, the decision for every default protocol,
+   both canaries and an unknown name is pinned by a digest of the decision
+   vector (one character per program and name, programs outer). The
+   digest was recorded when admission still matched on protocol names. *)
+let admission_pinned () =
+  let names =
+    Runner.default_protocols
+    @ List.map
+        (fun p -> p.Ace_runtime.Protocol.name)
+        Ace_combinator.Library.canaries
+    @ [ "NO_SUCH_PROTOCOL" ]
+  in
+  let st = Random.State.make [| 42 |] in
+  let b = Buffer.create (20_000 * List.length names) in
+  for _ = 1 to 20_000 do
+    let f = Prog.features (Prog.generate () st) in
+    List.iter
+      (fun n -> Buffer.add_char b (if Prog.admits f n then '1' else '0'))
+      names
+  done;
+  Alcotest.(check string)
+    "decision digest" "91e4f47d47bb134f6ae85b64a7e63a41"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "conformance"
     [
@@ -327,6 +353,7 @@ let () =
             fuzz_catches_broken_protocol;
           Alcotest.test_case "program text round-trips" `Quick
             prog_text_roundtrip;
+          Alcotest.test_case "admission pinned" `Quick admission_pinned;
           Alcotest.test_case "schedule policies round-trip" `Quick
             schedule_policies_roundtrip;
         ] );

@@ -206,6 +206,28 @@ let test_lock_holds () =
       Alcotest.(check bool) "hold duration >= 0" true (e.Trace_read.dur >= 0.))
     holds
 
+(* Direct-dispatched protocol calls go through the same probes as
+   dispatched ones: the TSP kernel at O3 shows every lock hold and its
+   protocol calls, as it does at O0. *)
+let test_direct_calls_traced () =
+  let path = tmp_trace () in
+  let src = List.assoc "TSP" Ace_lang.Kernels.all in
+  ignore
+    (Ace_harness.Table4.run_compiled ~trace:path ~nprocs:8 ~level:Ace_lang.Opt.O3
+       src);
+  let evs = Trace_read.load path in
+  Sys.remove path;
+  let spans cat name =
+    List.length
+      (List.filter
+         (fun (e : Trace_read.ev) ->
+           e.Trace_read.ph = 'X' && e.Trace_read.cat = cat
+           && e.Trace_read.name = name)
+         evs)
+  in
+  Alcotest.(check int) "lock.hold spans" 328 (spans "lock" "lock.hold");
+  Alcotest.(check bool) "start_read spans" true (spans "call" "start_read" > 0)
+
 (* The CRL baseline traces too (no spaces: region args only). *)
 let test_crl_trace () =
   let path = tmp_trace () in
@@ -435,6 +457,7 @@ let () =
         [
           Alcotest.test_case "file well-formed" `Quick test_trace_file;
           Alcotest.test_case "lock holds" `Quick test_lock_holds;
+          Alcotest.test_case "direct calls traced" `Quick test_direct_calls_traced;
           Alcotest.test_case "crl trace" `Quick test_crl_trace;
           Alcotest.test_case "tracing is invisible" `Quick test_traced_identical;
         ] );
