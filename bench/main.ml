@@ -128,7 +128,7 @@ let () =
     match !o.E.jobs with
     | Some j -> j
     | None -> (
-        try Ace_harness.Pool.default_jobs () with Invalid_argument m -> usage_error "%s" m)
+        try Ace_engine.Pool.default_jobs () with Invalid_argument m -> usage_error "%s" m)
   in
   let o = { !o with E.faults; jobs = Some jobs } in
   let selected = List.rev !selected in

@@ -197,6 +197,12 @@ let run_combinators o =
 
 let () =
   let o = parse_args () in
+  (* ACE_JOBS sets how many domains check a program's grid at once *)
+  (match Ace_engine.Pool.default_jobs () with
+  | (_ : int) -> ()
+  | exception Invalid_argument m ->
+      Printf.eprintf "acecheck: %s\n" m;
+      exit 2);
   match o.replay with
   | Some file -> (
       let r =

@@ -141,70 +141,84 @@ let reference_cell =
     engine = Machine.Seq_engine;
   }
 
+(* Run [p] in cell [c], the oracle watching every access section when
+   [with_oracle]: the final heap, or the cell's failure (a crash included,
+   so this does not raise). *)
+let run_checked ~with_oracle (p : Prog.t) c =
+  let oracle =
+    if with_oracle then Some (Oracle.create ~nprocs:p.Prog.nprocs ()) else None
+  in
+  match run_cell ?oracle p c with
+  | exception e -> Error { cell = c; reason = "crashed: " ^ Printexc.to_string e }
+  | heap -> (
+      match Option.map Oracle.check oracle with
+      | Some (Some v) ->
+          Error { cell = c; reason = "oracle: " ^ Oracle.violation_to_string v }
+      | _ -> Ok heap)
+
+(* A cell's verdict against the reference heap. *)
+let judge ~reference c = function
+  | Error fl -> Some fl
+  | Ok heap ->
+      Option.map
+        (fun m -> { cell = c; reason = m })
+        (heap_mismatch ~got:heap ~want:reference)
+
 (* Check one program over a grid. The reference heap comes from SC under
    FIFO with no faults and no batching; each schedule index is then paired
    round-robin with a protocol, a fault spec and a batching mode, so
    [schedules] runs cover every admissible protocol several times without
-   a full cross product. Race-free programs carry the oracle on every run. *)
+   a full cross product. Race-free programs carry the oracle on every run.
+
+   The reference and the cells are independent simulations, so they run
+   as one batch on the domain pool; the verdict is read off in serial
+   order — the reference's failure, else the lowest-index failing cell —
+   so it does not depend on the pool. *)
 let check_prog ?(protocols = default_protocols) ~schedules ~fault_specs
     ~batch_modes (p : Prog.t) : failure option =
   Prog.validate p;
   let f = Prog.features p in
   let with_oracle = not f.Prog.incr in
-  let protos = List.filter (Prog.admits f) protocols in
-  let run c =
-    let oracle =
-      if with_oracle then Some (Oracle.create ~nprocs:p.Prog.nprocs ())
-      else None
-    in
-    match run_cell ?oracle p c with
-    | exception e ->
-        Error
-          { cell = c; reason = "crashed: " ^ Printexc.to_string e }
-    | heap -> (
-        match Option.map Oracle.check oracle with
-        | Some (Some v) ->
-            Error
-              {
-                cell = c;
-                reason = "oracle: " ^ Oracle.violation_to_string v;
-              }
-        | _ -> Ok heap)
+  let protos = Array.of_list (List.filter (Prog.admits f) protocols) in
+  let faults = Array.of_list (None :: List.map Option.some fault_specs) in
+  let batches = Array.of_list batch_modes in
+  let cells =
+    if Array.length protos = 0 then [||]
+    else
+      Array.init schedules (fun i ->
+          {
+            proto = protos.(i mod Array.length protos);
+            policy = Schedule.of_index i;
+            faults = faults.(i mod Array.length faults);
+            batch = batches.(i mod Array.length batches);
+            engine = Machine.Seq_engine;
+          })
+  in
+  (* Racy-by-design increment programs have no trustworthy protocol
+     reference (invalidation protocols may legally lose concurrent RMW
+     updates); their exact final heap is predictable instead. *)
+  let runs =
+    if f.Prog.incr then cells else Array.append [| reference_cell |] cells
+  in
+  let outcomes =
+    Ace_engine.Pool.run_all
+      (Array.map (fun c () -> run_checked ~with_oracle p c) runs)
   in
   let reference =
-    (* Racy-by-design increment programs have no trustworthy protocol
-       reference (invalidation protocols may legally lose concurrent RMW
-       updates); their exact final heap is predictable instead. *)
-    if f.Prog.incr then Ok (Prog.predicted_counter_heap p)
-    else match run reference_cell with Error fl -> Error fl | Ok h -> Ok h
+    if f.Prog.incr then Ok (Prog.predicted_counter_heap p) else outcomes.(0)
   in
+  let first = Array.length runs - Array.length cells in
   match reference with
   | Error fl -> Some fl
   | Ok reference ->
-      let protos = Array.of_list protos in
-      let faults = Array.of_list (None :: List.map Option.some fault_specs) in
-      let batches = Array.of_list batch_modes in
-      let rec go i =
-        if i >= schedules || Array.length protos = 0 then None
-        else begin
-          let c =
-            {
-              proto = protos.(i mod Array.length protos);
-              policy = Schedule.of_index i;
-              faults = faults.(i mod Array.length faults);
-              batch = batches.(i mod Array.length batches);
-              engine = Machine.Seq_engine;
-            }
-          in
-          match run c with
-          | Error fl -> Some fl
-          | Ok heap -> (
-              match heap_mismatch ~got:heap ~want:reference with
-              | Some m -> Some { cell = c; reason = m }
-              | None -> go (i + 1))
-        end
+      let rec scan i =
+        if i >= Array.length cells then None
+        else
+          match judge ~reference cells.(i) outcomes.(first + i) with
+          | Some fl -> Some fl
+          | None -> scan (i + 1)
       in
-      go 0
+      scan 0
 
 (* Greedy shrink: keep applying the first structural cut that still fails.
    Re-checking is restricted to the protocol that failed (plus the
@@ -280,31 +294,10 @@ let replay (r : Repro.t) : failure option =
   let p = r.Repro.prog in
   let f = Prog.features p in
   let with_oracle = not f.Prog.incr in
-  let run c =
-    let oracle =
-      if with_oracle then Some (Oracle.create ~nprocs:p.Prog.nprocs ())
-      else None
-    in
-    match run_cell ?oracle p c with
-    | exception e ->
-        Error { cell = c; reason = "crashed: " ^ Printexc.to_string e }
-    | heap -> (
-        match Option.map Oracle.check oracle with
-        | Some (Some v) ->
-            Error
-              { cell = c; reason = "oracle: " ^ Oracle.violation_to_string v }
-        | _ -> Ok heap)
-  in
   let reference =
     if f.Prog.incr then Ok (Prog.predicted_counter_heap p)
-    else match run reference_cell with Error fl -> Error fl | Ok h -> Ok h
+    else run_checked ~with_oracle p reference_cell
   in
   match reference with
   | Error fl -> Some fl
-  | Ok reference -> (
-      match run cell with
-      | Error fl -> Some fl
-      | Ok heap -> (
-          match heap_mismatch ~got:heap ~want:reference with
-          | Some m -> Some { cell; reason = m }
-          | None -> None))
+  | Ok reference -> judge ~reference cell (run_checked ~with_oracle p cell)

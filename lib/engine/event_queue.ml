@@ -88,10 +88,11 @@ type t = {
   rng : Det_rng.t option; (* Some iff policy is Random *)
 }
 
-(* Small first arrays keep machine set-up cheap (the conformance fuzzer
-   builds tens of thousands of 2-4 node machines); they double on demand. *)
-let initial_slots = 128
-let initial_runs = 32
+(* A queue starts with [capacity] slots and a quarter as many runs; both
+   double on demand. Small first arrays keep machine set-up cheap (the
+   conformance fuzzer builds tens of thousands of 2-4 node machines), so
+   Machine.create sizes them by machine size. *)
+let default_capacity = 128
 
 (* Slots [lo..hi-1] chained into a free list, in index order. *)
 let link_free next ~lo ~hi =
@@ -100,19 +101,21 @@ let link_free next ~lo ~hi =
   done;
   next.(hi - 1) <- -1
 
-let create ?(policy = Fifo) () =
+let create ?(policy = Fifo) ?(capacity = default_capacity) () =
   validate_policy policy;
+  if capacity < 4 then invalid_arg "Event_queue.create: capacity < 4";
+  let runs = capacity / 4 in
   {
-    thunks = Array.make initial_slots ignore;
-    orders = Array.make initial_slots 0;
+    thunks = Array.make capacity ignore;
+    orders = Array.make capacity 0;
     next =
-      (let next = Array.make initial_slots 0 in
-       link_free next ~lo:0 ~hi:initial_slots;
+      (let next = Array.make capacity 0 in
+       link_free next ~lo:0 ~hi:capacity;
        next);
     free = 0;
-    times = Array.make initial_runs 0.;
-    keys = Array.make initial_runs 0;
-    heads = Array.make initial_runs 0;
+    times = Array.make runs 0.;
+    keys = Array.make runs 0;
+    heads = Array.make runs 0;
     runs = 0;
     size = 0;
     tail = -1;

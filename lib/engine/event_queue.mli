@@ -36,9 +36,13 @@ val policy_of_string : string -> policy
 
 type t
 
-(** [create ?policy ()] makes an empty queue. Raises [Invalid_argument] on
-    a [Rotate] with [stride < 2] or [offset] outside [0..stride-1]. *)
-val create : ?policy:policy -> unit -> t
+(** [create ?policy ?capacity ()] makes an empty queue with room for
+    [capacity] pending events (default 128) in [capacity / 4] runs before
+    its first growth; both double on demand, so the capacity changes
+    set-up cost and memory only, never the order of events. Raises
+    [Invalid_argument] on a [capacity] below 4, or on a [Rotate] with
+    [stride < 2] or [offset] outside [0..stride-1]. *)
+val create : ?policy:policy -> ?capacity:int -> unit -> t
 
 (** The tie-break policy fixed at creation. *)
 val policy : t -> policy

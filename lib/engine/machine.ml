@@ -69,11 +69,16 @@ let unparked : (unit, unit) Effect.Deep.continuation =
     };
   Option.get !slot
 
+(* Queue slots by machine size: 8 per processor, clamped to 16..128. The
+   fuzzer's 2-4 node machines start at 16-32 slots, which cuts their
+   set-up; 16 nodes and up keep the full 128. *)
+let queue_capacity nprocs = min 128 (max 16 (8 * nprocs))
+
 let create ?policy ~nprocs () =
   if nprocs <= 0 then invalid_arg "Machine.create: nprocs <= 0";
   {
     nprocs;
-    events = Event_queue.create ?policy ();
+    events = Event_queue.create ?policy ~capacity:(queue_capacity nprocs) ();
     stats = Stats.create ();
     live = 0;
     max_clock = 0.;

@@ -37,7 +37,8 @@ type engine = Seq_engine
     same-timestamp events are ordered (default {!Event_queue.Fifo}, the
     historical bit-identical behaviour); any policy is a legal execution of
     the simulated machine, so program results at synchronization points must
-    not depend on it — the conformance kit checks exactly that. *)
+    not depend on it — the conformance kit checks exactly that. The event
+    queue starts with 8 slots per processor, clamped to 16..128. *)
 val create : ?policy:Event_queue.policy -> nprocs:int -> unit -> t
 
 val nprocs : t -> int

@@ -37,6 +37,12 @@ let attach_batch am = function
   | Some true -> Ace_net.Am.set_batching am true
   | Some false | None -> ()
 
+(* Wrap a cell so it also reports its wall-clock seconds. *)
+let timed f () =
+  let t0 = Unix.gettimeofday () in
+  let out = f () in
+  (out, Unix.gettimeofday () -. t0)
+
 module type APP = sig
   type config
 

@@ -7,6 +7,7 @@
 module Stats = Ace_engine.Stats
 module Faults = Ace_net.Faults
 module Crit = Ace_engine.Crit
+module Pool = Ace_engine.Pool
 module Critpath = Ace_obs.Critpath
 module Cm = Ace_net.Cost_model
 module Em3d = Ace_apps.Em3d
@@ -251,7 +252,7 @@ let paired ?jobs (specs : (string * bool * side * side) list) =
       (fun i ->
         let _, _, base, ace = specs.(i / 2) in
         let run = if i mod 2 = 0 then base else ace in
-        Pool.timed (fun () ->
+        Driver.timed (fun () ->
             let msgs = ref 0. in
             let out =
               run ~stats:(fun st -> msgs := !msgs +. Stats.get st "net.messages")
@@ -345,7 +346,7 @@ let header fmt =
 (* Run timed cells, each returning its report row (wall still 0) and
    something to print; walls are filled in from the pool's timing. *)
 let run_cells ?jobs cells =
-  Pool.run_all ?jobs (Array.of_list (List.map Pool.timed cells))
+  Pool.run_all ?jobs (Array.of_list (List.map Driver.timed cells))
   |> Array.to_list
   |> List.map (fun ((r, x), wall) -> ({ r with R.wall }, x))
 
@@ -480,7 +481,7 @@ let run_ablation o =
   in
   let out =
     Pool.run_all ?jobs:o.jobs
-      (Array.map Pool.timed
+      (Array.map Driver.timed
          [|
            (fun () -> run_mapping Cm.cm5_ace);
            (fun () -> run_mapping crl_costs);
@@ -545,7 +546,7 @@ let run_batching o =
           [ false; true ])
       benches
   in
-  let out = Pool.run_all ?jobs:o.jobs (Array.of_list (List.map Pool.timed cells)) in
+  let out = Pool.run_all ?jobs:o.jobs (Array.of_list (List.map Driver.timed cells)) in
   Printf.printf "%-26s %10s %10s %8s %9s %9s %6s\n" "benchmark" "msgs off"
     "msgs on" "saved" "coalesced" "combined" "ok";
   Printf.printf "%s\n" (String.make 84 '-');
@@ -989,7 +990,7 @@ let em3d ?trace ?crit ?cost ?wrap ?protocol o =
 let best_of_3 f =
   let out = ref None and best = ref infinity in
   for _ = 1 to 3 do
-    let o, wall = Pool.timed f () in
+    let o, wall = Driver.timed f () in
     best := Float.min !best wall;
     out := Some o
   done;

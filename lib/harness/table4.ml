@@ -8,6 +8,7 @@
 module Ops = Ace_runtime.Ops
 module Runtime = Ace_runtime.Runtime
 module Machine = Ace_engine.Machine
+module Pool = Ace_engine.Pool
 
 let fresh_runtime ~nprocs =
   let rt = Runtime.create ~nprocs () in
@@ -398,7 +399,7 @@ let table4 ?(nprocs = 32) ?jobs ?trace_dir () =
         fun () -> run_compiled ?trace ~nprocs ~level source
   in
   let cells =
-    Array.init (variants * Array.length benchmarks) (fun i -> Pool.timed (cell i))
+    Array.init (variants * Array.length benchmarks) (fun i -> Driver.timed (cell i))
   in
   let out = Pool.run_all ?jobs cells in
   Array.to_list

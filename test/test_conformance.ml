@@ -238,6 +238,117 @@ let fuzz_catches_broken_protocol () =
       rejects "engine par:N names the removed engine" (with_engine "par:4")
         {|Repro.of_string: bad engine "par:4" (the parallel engine was removed; only "seq" replays)|}
 
+(* ---------- pooled verdicts equal serial ones ---------- *)
+
+(* The verdict check_prog promises, computed the slow way: the reference,
+   then each grid cell in index order through Runner.run_cell, stopping at
+   the first failure. *)
+let serial_verdict ~protocols ~schedules ~fault_specs ~batch_modes p =
+  let f = Prog.features p in
+  let run c =
+    let oracle =
+      if f.Prog.incr then None else Some (Oracle.create ~nprocs:p.Prog.nprocs ())
+    in
+    match Runner.run_cell ?oracle p c with
+    | exception e -> Error ("crashed: " ^ Printexc.to_string e)
+    | heap -> (
+        match Option.map Oracle.check oracle with
+        | Some (Some v) -> Error ("oracle: " ^ Oracle.violation_to_string v)
+        | _ -> Ok heap)
+  in
+  let fail c reason = Some { Runner.cell = c; reason } in
+  let reference =
+    if f.Prog.incr then Ok (Prog.predicted_counter_heap p)
+    else run Runner.reference_cell
+  in
+  match reference with
+  | Error reason -> fail Runner.reference_cell reason
+  | Ok want ->
+      let protos = Array.of_list (List.filter (Prog.admits f) protocols) in
+      let faults = Array.of_list (None :: List.map Option.some fault_specs) in
+      let batches = Array.of_list batch_modes in
+      let rec go i =
+        if i >= schedules || Array.length protos = 0 then None
+        else
+          let c =
+            {
+              Runner.proto = protos.(i mod Array.length protos);
+              policy = Schedule.of_index i;
+              faults = faults.(i mod Array.length faults);
+              batch = batches.(i mod Array.length batches);
+              engine = Ace_engine.Machine.Seq_engine;
+            }
+          in
+          match run c with
+          | Error reason -> fail c reason
+          | Ok got -> (
+              match Runner.heap_mismatch ~got ~want with
+              | Some reason -> fail c reason
+              | None -> go (i + 1))
+      in
+      go 0
+
+let canary_names =
+  List.map (fun p -> p.Ace_runtime.Protocol.name) Ace_combinator.Library.canaries
+
+(* [f ()] with ACE_JOBS set to [jobs], so the pool runs that wide. An unset
+   ACE_JOBS comes back as the domain count it defaults to (the environment
+   cannot be unset). *)
+let with_jobs jobs f =
+  let saved =
+    match Sys.getenv_opt "ACE_JOBS" with
+    | Some s -> s
+    | None -> string_of_int (Domain.recommended_domain_count ())
+  in
+  Unix.putenv "ACE_JOBS" (string_of_int jobs);
+  Fun.protect f ~finally:(fun () -> Unix.putenv "ACE_JOBS" saved)
+
+let pooled_verdicts_match_serial () =
+  let protocols = Runner.default_protocols @ canary_names in
+  let schedules = 12 and batch_modes = [ false; true ] in
+  let st = Random.State.make [| 2024 |] in
+  let caught = Hashtbl.create 2 in
+  for _ = 1 to 60 do
+    let p = Prog.generate () st in
+    let want = serial_verdict ~protocols ~schedules ~fault_specs ~batch_modes p in
+    let got =
+      with_jobs 4 (fun () ->
+          Runner.check_prog ~protocols ~schedules ~fault_specs ~batch_modes p)
+    in
+    (match want with
+    | Some fl -> Hashtbl.replace caught fl.Runner.cell.Runner.proto ()
+    | None -> ());
+    let show = function
+      | Some fl -> Runner.cell_to_string fl.Runner.cell ^ ": " ^ fl.Runner.reason
+      | None -> "clean"
+    in
+    if got <> want then
+      Alcotest.failf "verdicts differ on\n%s\npooled: %s\nserial: %s"
+        (Prog.to_string p) (show got) (show want)
+  done;
+  List.iter
+    (fun n -> check (n ^ " caught in the corpus") true (Hashtbl.mem caught n))
+    canary_names
+
+(* The shrunk counterexample, and so its .repro, does not depend on how
+   many domains check each program. *)
+let pooled_fuzz_same_repro () =
+  List.iter
+    (fun canary ->
+      let fuzz () =
+        match
+          Runner.fuzz ~protocols:[ "SC"; canary ] ~seed:3 ~count:200
+            ~schedules:8 ~fault_specs ~batch_modes:[ false; true ] ()
+        with
+        | { Runner.counterexample = Some cex; programs } ->
+            (programs, Repro.to_string (Runner.to_repro cex))
+        | { Runner.counterexample = None; _ } ->
+            Alcotest.failf "%s escaped the fuzzer" canary
+      in
+      let serial = with_jobs 1 fuzz and pooled = with_jobs 4 fuzz in
+      Alcotest.(check (pair int string)) (canary ^ " repro") serial pooled)
+    canary_names
+
 let prog_text_roundtrip () =
   let st = Random.State.make [| 99 |] in
   for _ = 1 to 50 do
@@ -351,6 +462,10 @@ let () =
           Alcotest.test_case "registry is clean" `Quick fuzz_registry_clean;
           Alcotest.test_case "broken protocol is caught" `Quick
             fuzz_catches_broken_protocol;
+          Alcotest.test_case "pooled verdicts match serial" `Quick
+            pooled_verdicts_match_serial;
+          Alcotest.test_case "pooled fuzz gives the same repro" `Quick
+            pooled_fuzz_same_repro;
           Alcotest.test_case "program text round-trips" `Quick
             prog_text_roundtrip;
           Alcotest.test_case "admission pinned" `Quick admission_pinned;

@@ -147,7 +147,9 @@ let eq_model_property =
    key each policy documents: 0 under Fifo; under Random one draw
    [Det_rng.int (1 lsl 22)] per push, in push order, from the seeded
    stream; under Rotate 1 iff [seq mod stride = offset]. So every pop is
-   checked against the exact documented order, not just timestamp order. *)
+   checked against the exact documented order, not just timestamp order.
+   The variants from the smallest capacity a machine gets (16 slots, 4
+   runs) grow the slot store and the run heap under every policy. *)
 type qop = Push of int | Pop | Drain of int list
 
 let qop_arb =
@@ -167,12 +169,16 @@ let qop_arb =
   in
   QCheck.make ~print gen
 
-let eq_policy_model policy =
+let eq_policy_model ?capacity policy =
   QCheck.Test.make ~count:300
-    ~name:("queue model under " ^ Eq.policy_to_string policy)
+    ~name:
+      ((match capacity with
+       | Some c -> Printf.sprintf "%d-slot queue under " c
+       | None -> "queue model under ")
+      ^ Eq.policy_to_string policy)
     (QCheck.list qop_arb)
     (fun ops ->
-      let q = Eq.create ~policy () in
+      let q = Eq.create ~policy ?capacity () in
       let rng = match policy with Eq.Random s -> Some (Rng.create s) | _ -> None in
       let key seq =
         match policy with
@@ -229,7 +235,7 @@ let eq_policy_model policy =
       !model = [] && Eq.is_empty q)
 
 let eq_policy_models =
-  List.map eq_policy_model
+  let policies =
     [
       Eq.Fifo;
       Eq.Random 1;
@@ -237,6 +243,9 @@ let eq_policy_models =
       Eq.Rotate { stride = 2; offset = 0 };
       Eq.Rotate { stride = 3; offset = 1 };
     ]
+  in
+  List.map (fun p -> eq_policy_model p) policies
+  @ List.map (eq_policy_model ~capacity:16) policies
 
 (* ---- ivar ---- *)
 
@@ -310,6 +319,20 @@ let machine_advance_and_time () =
   Machine.run m (fun p ->
       Machine.advance p (float_of_int ((10 * p.Machine.id) + 10)));
   check "time is max clock" true (Machine.time m = 20.)
+
+(* The event queue is sized by machine size (8 slots per processor,
+   clamped to 16..128), so a fuzzer-sized machine is cheaper to build than
+   a 32-proc one. *)
+let machine_create_allocation () =
+  let words nprocs =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Machine.create ~nprocs ()));
+    Gc.minor_words () -. w0
+  in
+  let small = words 2 and large = words 32 in
+  check
+    (Printf.sprintf "2 procs: %.0f words < 32 procs: %.0f words" small large)
+    true (small < large)
 
 (* Machine.advance is the fiber switch every simulated compute interval
    pays for. Two procs interleave (equal steps, so every advance parks one
@@ -905,6 +928,8 @@ let () =
       ( "machine",
         [
           Alcotest.test_case "advance/time" `Quick machine_advance_and_time;
+          Alcotest.test_case "create allocation" `Quick
+            machine_create_allocation;
           Alcotest.test_case "advance allocation" `Quick
             machine_advance_allocation;
           Alcotest.test_case "await allocation (filled)" `Quick

@@ -1,11 +1,11 @@
-(* The experiment harness: the parallel pool must not change results
-   (simulated seconds and computed answers are bit-identical for any worker
+(* The experiment harness: the parallel pool (Ace_engine.Pool, shared with
+   the conformance kit) must not change results (simulated seconds and computed answers are bit-identical for any worker
    count and across repeated runs), and each registry entry's checks must
    pass or fail on doctored rows exactly at their thresholds. *)
 
 module E = Ace_harness.Experiments
 module R = Ace_harness.Report
-module Pool = Ace_harness.Pool
+module Pool = Ace_engine.Pool
 
 let scale = { E.nprocs = 4; factor = 1 }
 
@@ -28,11 +28,14 @@ let fig7a_deterministic () =
 
 let pool_positional () =
   let tasks = Array.init 50 (fun i () -> i * i) in
-  let out = Pool.run_all ~jobs:4 tasks in
-  Alcotest.(check (list int))
-    "results in task order"
-    (List.init 50 (fun i -> i * i))
-    (Array.to_list out)
+  (* the second batch runs on the helpers the first one spawned *)
+  for _ = 1 to 2 do
+    let out = Pool.run_all ~jobs:4 tasks in
+    Alcotest.(check (list int))
+      "results in task order"
+      (List.init 50 (fun i -> i * i))
+      (Array.to_list out)
+  done
 
 let pool_empty_and_serial () =
   Alcotest.(check (list int)) "no tasks" []
@@ -40,17 +43,67 @@ let pool_empty_and_serial () =
   let out = Pool.run_all ~jobs:1 (Array.init 5 (fun i () -> i + 1)) in
   Alcotest.(check (list int)) "jobs=1" [ 1; 2; 3; 4; 5 ] (Array.to_list out)
 
+(* Tasks 2 and 5 raise; the caller sees task 2's exception, and only once
+   all eight tasks have run. *)
 let pool_propagates_exn () =
-  let tasks =
-    Array.init 8 (fun i () -> if i = 5 then failwith "cell 5 blew up" else i)
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      let tasks =
+        Array.init 8 (fun i () ->
+            Atomic.incr ran;
+            if i = 2 || i = 5 then failwith (Printf.sprintf "cell %d blew up" i)
+            else i)
+      in
+      match Pool.run_all ~jobs tasks with
+      | _ -> Alcotest.fail "expected the cell's exception to propagate"
+      | exception Failure m ->
+          Alcotest.(check string) "lowest-index exception" "cell 2 blew up" m;
+          Alcotest.(check int) "every task ran first" 8 (Atomic.get ran))
+    [ 1; 3 ]
+
+(* A run_all inside a task runs inline on the task's domain, in order. *)
+let pool_nested_inline () =
+  let outer =
+    Array.init 6 (fun i () ->
+        let here = (Domain.self () :> int) in
+        let inner =
+          Pool.run_all ~jobs:4
+            (Array.init 5 (fun j () -> ((Domain.self () :> int), (10 * i) + j)))
+        in
+        Array.for_all (fun (d, _) -> d = here) inner, Array.map snd inner)
   in
-  match Pool.run_all ~jobs:3 tasks with
-  | _ -> Alcotest.fail "expected the cell's exception to propagate"
-  | exception Failure m ->
-      Alcotest.(check string) "original message" "cell 5 blew up" m
+  Array.iteri
+    (fun i (inline, values) ->
+      Alcotest.(check bool) "inner tasks on the outer task's domain" true inline;
+      Alcotest.(check (list int)) "inner results in order"
+        (List.init 5 (fun j -> (10 * i) + j))
+        (Array.to_list values))
+    (Pool.run_all ~jobs:3 outer)
+
+(* Two tasks that each wait for the other to start run on two domains at
+   once; both see the caller's minor heap size. *)
+let pool_helper_minor_heap () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 1 lsl 20 };
+  let want = (Gc.get ()).Gc.minor_heap_size in
+  let started = Atomic.make 0 in
+  let task () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    ((Domain.self () :> int), (Gc.get ()).Gc.minor_heap_size)
+  in
+  let out = Pool.run_all ~jobs:2 [| task; task |] in
+  Gc.set saved;
+  Alcotest.(check bool) "two domains" true (fst out.(0) <> fst out.(1));
+  Array.iter
+    (fun (_, words) -> Alcotest.(check int) "caller's minor heap" want words)
+    out
 
 let pool_timed () =
-  let v, wall = Pool.timed (fun () -> 42) () in
+  let v, wall = Ace_harness.Driver.timed (fun () -> 42) () in
   Alcotest.(check int) "value" 42 v;
   Alcotest.(check bool) "wall non-negative" true (wall >= 0.)
 
@@ -207,6 +260,9 @@ let () =
           Alcotest.test_case "positional results" `Quick pool_positional;
           Alcotest.test_case "empty and serial" `Quick pool_empty_and_serial;
           Alcotest.test_case "exception propagation" `Quick pool_propagates_exn;
+          Alcotest.test_case "nested run_all inline" `Quick pool_nested_inline;
+          Alcotest.test_case "helpers share the minor heap size" `Quick
+            pool_helper_minor_heap;
           Alcotest.test_case "timed wrapper" `Quick pool_timed;
         ] );
       ( "determinism",
